@@ -8,7 +8,7 @@ long-range benchmarks: the adding problem and pixel-by-pixel MNIST.
 
 __version__ = "0.1.0"
 
-from .cells import LstmParams, RnnParams, lstm_backstep, lstm_step, rnn_backstep, rnn_step
+from .cells import LstmParams, RnnParams
 from .gradcheck import GradReport, check_model, numeric_gradient
 from .harness import GridSpec, TrainResult, evaluate, grid_search, train
 from .init import InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline, parse_scheme
@@ -71,16 +71,12 @@ __all__ = [
     "load_adding",
     "load_checkpoint",
     "load_mnist",
-    "lstm_backstep",
-    "lstm_step",
     "make_permutation",
     "make_rng",
     "numeric_gradient",
     "param_blocks",
     "parse_scheme",
     "predict",
-    "rnn_backstep",
-    "rnn_step",
     "save_adding",
     "save_checkpoint",
     "sgd_step",

@@ -1,14 +1,10 @@
-"""Single-step recurrent cells: forward computation and exact reverse-mode gradients.
+"""Recurrent cells as whole-sequence kernels: one forward and one backward pass each.
 
 The plain RNN cell computes
 
     h_t = g(W h_{t-1} + V x_t + b),    g in {relu, tanh, linear}
 
-and its backward step propagates ``delta_{t-1} = W^T (delta_t * g'(z_t))``
-where ``z_t`` is the cached pre-activation. The rectifier uses the
-subgradient convention g'(0) = 0, matching g(0) = 0 in the forward pass.
-
-The LSTM cell is the standard forget-gate variant without peepholes:
+and the LSTM cell is the standard forget-gate variant without peepholes:
 
     i = sigmoid(Wi h + Vi x + bi)        input gate
     f = sigmoid(Wf h + Vf x + bf)        forget gate
@@ -17,24 +13,73 @@ The LSTM cell is the standard forget-gate variant without peepholes:
     c = f * c_prev + i * g
     h = o * tanh(c)
 
-States may be a single vector (H,) or a batch of lanes (B, H) sharing the
-parameters; weight gradients are summed over lanes (the 1/B of a mean loss
-arrives through the incoming delta).
+Both start from a zero state. The kernels are feature-major: a state is
+(H, B), one column per lane. A cell's weights are stacked once per call
+into A = [W | V | b] of shape (G*H, H+D+1), G = 1 for the RNN and G = 4
+for the LSTM with gate rows in i|f|o|g order, so a step is one GEMM
+A @ [h_{t-1}; x_t; 1] whose gates are contiguous (H, B) row blocks.
+
+Tape layout (``CellTape``) for T steps; without a tape the same loop
+writes into 2 reused slots of ``s`` and ``c`` and 1 of ``z`` and ``tc``:
+
+    s   (T+1, H+D+1, B)  s[t] is the step-t operand [h_{t-1}; x_t; 1],
+                         so s[t+1, :H] holds h_t
+    z   (T, G*H, B)      RNN pre-activations; LSTM gate activations i|f|o|g
+    c   (T+1, H, B)      LSTM cell states, c[0] = 0; tc (T, H, B) is tanh(c_t)
+
+The backward kernels walk the tape in reverse. Each step takes the
+gradients of all blocks as one GEMM of the (G*H, B) pre-activation delta
+against the step's operand [h_{t-1}; x_t; 1], added into a stacked
+(G*H, H+D+1) sum in reverse time order; it is returned as per-block views
+named like ``blocks()``. Gradients are summed over lanes (the 1/B of a mean
+loss arrives through the incoming delta); the rectifier uses g'(0) = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .ndcore import ShapeError
+from .ndcore import DivergenceError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "linear")
 
+# Any hidden or cell state beyond this magnitude aborts the run as diverged.
+OVERFLOW_LIMIT = 1e100
+
+
+class _Cell:
+    """Shape checks and named blocks shared by the cells: one (W, V, b) triple per gate."""
+
+    gates: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self):
+        h, d = self.hidden, self.input_dim
+        for gate in self.gates:
+            w, v, b = (getattr(self, f"{kind}{gate}") for kind in "WVb")
+            if w.shape != (h, h) or v.shape != (h, d) or b.shape != (h,):
+                raise ShapeError(
+                    f"gate {gate!r} has shapes W {w.shape}, V {v.shape}, b {b.shape};"
+                    f" expected ({h},{h}), ({h},{d}), ({h},)"
+                )
+
+    @property
+    def hidden(self) -> int:
+        return getattr(self, f"W{self.gates[0]}").shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return getattr(self, f"V{self.gates[0]}").shape[1]
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        return {f"{kind}{gate}": getattr(self, f"{kind}{gate}") for gate in self.gates for kind in "WVb"}
+
 
 @dataclass
-class RnnParams:
+class RnnParams(_Cell):
     """Weights of one RNN cell: recurrent W (HxH), input V (HxD), bias b (H)."""
 
     W: np.ndarray
@@ -42,34 +87,16 @@ class RnnParams:
     b: np.ndarray
     activation: str = "relu"
 
+    gates: ClassVar[tuple[str, ...]] = ("",)
+
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        h = self.W.shape[0]
-        if self.W.shape != (h, h):
-            raise ShapeError(f"recurrent matrix must be square, got {self.W.shape}")
-        if self.V.shape[0] != h or self.b.shape != (h,):
-            raise ShapeError(
-                f"inconsistent parameter shapes: W {self.W.shape}, V {self.V.shape}, b {self.b.shape}"
-            )
-
-    @property
-    def hidden(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.V.shape[1]
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "V": self.V, "b": self.b}
-
-
-_GATES = ("i", "f", "o", "g")
+        super().__post_init__()
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_Cell):
     """Weights of one LSTM cell, one (W, V, b) triple per gate i/f/o/g."""
 
     Wi: np.ndarray
@@ -85,172 +112,198 @@ class LstmParams:
     Vg: np.ndarray
     bg: np.ndarray
 
-    def __post_init__(self):
-        h = self.Wi.shape[0]
-        d = self.Vi.shape[1]
-        for gate in _GATES:
-            w, v, b = getattr(self, f"W{gate}"), getattr(self, f"V{gate}"), getattr(self, f"b{gate}")
-            if w.shape != (h, h) or v.shape != (h, d) or b.shape != (h,):
-                raise ShapeError(
-                    f"gate {gate!r} has shapes W {w.shape}, V {v.shape}, b {b.shape};"
-                    f" expected ({h},{h}), ({h},{d}), ({h},)"
-                )
-
-    @property
-    def hidden(self) -> int:
-        return self.Wi.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.Vi.shape[1]
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for gate in _GATES:
-            out[f"W{gate}"] = getattr(self, f"W{gate}")
-            out[f"V{gate}"] = getattr(self, f"V{gate}")
-            out[f"b{gate}"] = getattr(self, f"b{gate}")
-        return out
+    gates: ClassVar[tuple[str, ...]] = ("i", "f", "o", "g")
 
 
 @dataclass
-class StepCache:
-    """Forward-pass values one RNN backstep needs: pre-activation and operands."""
+class CellTape:
+    """Arrays of one forward pass, laid out as in the module docstring."""
 
+    steps: int
+    s: np.ndarray
     z: np.ndarray
-    h: np.ndarray
-    h_prev: np.ndarray
-    x: np.ndarray
+    c: np.ndarray | None = None
+    tc: np.ndarray | None = None
 
 
-@dataclass
-class LstmStepCache:
-    """Forward-pass values one LSTM backstep needs (gate activations and cell states)."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-z)); ``out`` may be ``z`` itself.
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    tc: np.ndarray  # tanh(c), reused by h = o * tanh(c)
+    exp(-z) overflows to inf for z < -709, which gives the correct limit 0.
+    """
+    out = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _stacked(p) -> np.ndarray:
+    """The (G*H, H+D+1) operand [W | V | b], gate rows in ``p.gates`` order."""
+    blocks = p.blocks()
+    return np.vstack([np.hstack((blocks[f"W{g}"], blocks[f"V{g}"], blocks[f"b{g}"][:, None])) for g in p.gates])
+
+
+def _split(p, stacked: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-block views of a stacked (G*H, H+D+1) gradient, named like ``p.blocks()``."""
+    h, d = p.hidden, p.input_dim
+    out = {}
+    for k, gate in enumerate(p.gates):
+        rows = stacked[k * h : (k + 1) * h]
+        out[f"W{gate}"], out[f"V{gate}"], out[f"b{gate}"] = rows[:, :h], rows[:, h : h + d], rows[:, h + d]
     return out
 
 
-def _check_state(p, h_prev: np.ndarray, x: np.ndarray) -> None:
-    if h_prev.ndim not in (1, 2) or h_prev.ndim != x.ndim:
-        raise ShapeError(
-            f"state and input must both be 1-D or both 2-D, got {h_prev.shape} and {x.shape}"
-        )
-    if h_prev.shape[-1] != p.hidden or x.shape[-1] != p.input_dim:
-        raise ShapeError(
-            f"step: state {h_prev.shape} / input {x.shape} do not match parameters"
-            f" (hidden={p.hidden}, input_dim={p.input_dim})"
-        )
-    if h_prev.ndim == 2 and h_prev.shape[0] != x.shape[0]:
-        raise ShapeError(f"batch sizes differ: state {h_prev.shape} vs input {x.shape}")
+def _check_finite(states: list[np.ndarray], first_step: int = 0) -> None:
+    """Name the first step at which a (steps, H, B) state is NaN, inf or beyond OVERFLOW_LIMIT.
 
-
-def _weight_grads(dz: np.ndarray, h_prev: np.ndarray, x: np.ndarray):
-    """(dW, dV, db) from a pre-activation delta; sums over batch lanes."""
-    if dz.ndim == 1:
-        return np.outer(dz, h_prev), np.outer(dz, x), dz.copy()
-    return dz.T @ h_prev, dz.T @ x, dz.sum(axis=0)
-
-
-def rnn_step(p: RnnParams, h_prev, x) -> tuple[np.ndarray, StepCache]:
-    """One forward step h = g(W h_prev + V x + b); returns the new state and its cache."""
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_state(p, h_prev, x)
-    z = h_prev @ p.W.T + x @ p.V.T + p.b
-    if p.activation == "relu":
-        h = np.maximum(z, 0.0)
-    elif p.activation == "tanh":
-        h = np.tanh(z)
-    else:
-        h = z
-    return h, StepCache(z=z, h=h, h_prev=h_prev, x=x)
-
-
-def rnn_backstep(
-    p: RnnParams, cache: StepCache, dh
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse one step: returns (dh_prev, dW, dV, db) for the incoming delta dh."""
-    dh = np.asarray(dh, dtype=np.float64)
-    if cache.z.shape[-1] != p.hidden:
-        raise ShapeError(f"cache hidden size {cache.z.shape[-1]} does not match parameters ({p.hidden})")
-    if dh.shape != cache.z.shape:
-        raise ShapeError(f"delta shape {dh.shape} does not match cached step shape {cache.z.shape}")
-    if p.activation == "relu":
-        masked = dh * (cache.z > 0.0)
-    elif p.activation == "tanh":
-        masked = dh * (1.0 - cache.h * cache.h)
-    else:
-        masked = dh.copy()
-    dh_prev = masked @ p.W
-    dw, dv, db = _weight_grads(masked, cache.h_prev, cache.x)
-    return dh_prev, dw, dv, db
-
-
-def lstm_step(p: LstmParams, h_prev, c_prev, x) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One LSTM step; returns (h, c, cache)."""
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_state(p, h_prev, x)
-    if c_prev.shape != h_prev.shape:
-        raise ShapeError(f"cell state shape {c_prev.shape} differs from hidden state {h_prev.shape}")
-    i = sigmoid(h_prev @ p.Wi.T + x @ p.Vi.T + p.bi)
-    f = sigmoid(h_prev @ p.Wf.T + x @ p.Vf.T + p.bf)
-    o = sigmoid(h_prev @ p.Wo.T + x @ p.Vo.T + p.bo)
-    g = np.tanh(h_prev @ p.Wg.T + x @ p.Vg.T + p.bg)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, LstmStepCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, o=o, g=g, c=c, tc=tc)
-
-
-def lstm_backstep(
-    p: LstmParams, cache: LstmStepCache, dh, dc
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Reverse one LSTM step: returns (dh_prev, dc_prev, per-block gradients).
-
-    Gate derivatives use sigma' = s(1-s) and tanh' = 1 - t**2 on the cached
-    activations; the returned dict covers all twelve parameter blocks.
+    One reduction per array covers all steps; the steps are scanned only when it fails.
     """
-    dh = np.asarray(dh, dtype=np.float64)
-    dc = np.asarray(dc, dtype=np.float64)
-    if dh.shape != cache.i.shape or dc.shape != cache.i.shape:
-        raise ShapeError(
-            f"delta shapes {dh.shape} / {dc.shape} do not match cached step shape {cache.i.shape}"
-        )
-    do = dh * cache.tc
-    dc_total = dc + dh * cache.o * (1.0 - cache.tc * cache.tc)
-    di = dc_total * cache.g
-    df = dc_total * cache.c_prev
-    dg = dc_total * cache.i
-    dc_prev = dc_total * cache.f
-    dzi = di * cache.i * (1.0 - cache.i)
-    dzf = df * cache.f * (1.0 - cache.f)
-    dzo = do * cache.o * (1.0 - cache.o)
-    dzg = dg * (1.0 - cache.g * cache.g)
-    dh_prev = dzi @ p.Wi + dzf @ p.Wf + dzo @ p.Wo + dzg @ p.Wg
-    grads: dict[str, np.ndarray] = {}
-    for gate, dz in (("i", dzi), ("f", dzf), ("o", dzo), ("g", dzg)):
-        dw, dv, db = _weight_grads(dz, cache.h_prev, cache.x)
-        grads[f"W{gate}"] = dw
-        grads[f"V{gate}"] = dv
-        grads[f"b{gate}"] = db
-    return dh_prev, dc_prev, grads
+    if all(np.abs(a).max() <= OVERFLOW_LIMIT for a in states):
+        return
+    for t in range(states[0].shape[0]):
+        if not all(np.abs(a[t]).max() <= OVERFLOW_LIMIT for a in states):
+            raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
+
+
+def _arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialised arrays carved from one allocation.
+
+    malloc reuses one large block from call to call, whereas several large
+    blocks freed together go back to the OS and are page-faulted in again.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(sum(sizes))
+    offsets = np.cumsum([0] + sizes)
+    return [flat[o : o + n].reshape(shape) for o, n, shape in zip(offsets, sizes, shapes)]
+
+
+def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
+    """Validate inputs and allocate the tape (or scratch) arrays; returns (arrays, s slots, z slots)."""
+    if inputs.ndim != 3 or inputs.shape[2] != p.input_dim or min(inputs.shape) < 1:
+        raise ShapeError(f"inputs must have shape (T>=1, B>=1, {p.input_dim}), got {inputs.shape}")
+    t_steps, b, _ = inputs.shape
+    h = p.hidden
+    ns, nz = (t_steps + 1, t_steps) if keep else (2, 1)
+    shapes = [(ns, h + p.input_dim + 1, b), (nz, len(p.gates) * h, b)]
+    if isinstance(p, LstmParams):
+        shapes += [(ns, h, b), (nz, h, b)]
+    arrays = _arrays(*shapes)
+    arrays[0][0, :h] = 0.0
+    arrays[0][:, h + p.input_dim] = 1.0
+    return arrays, ns, nz
+
+
+_ACTIVATE = {
+    "relu": lambda z, out: np.maximum(z, 0.0, out=out),
+    "tanh": lambda z, out: np.tanh(z, out=out),
+    "linear": lambda z, out: np.copyto(out, z),
+}
+
+
+def rnn_forward(p: RnnParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
+    """Run the RNN over (T, B, D) inputs; returns (h_T as (B, H), tape).
+
+    With ``keep`` false the tape holds only the scratch slots of the last step.
+    """
+    h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
+    (s, z), ns, nz = _start(p, inputs, keep)
+    a, activate = _stacked(p), _ACTIVATE[p.activation]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_steps):
+            cur = s[t % ns]
+            cur[h : h + d] = inputs[t].T
+            ht = s[(t + 1) % ns, :h]
+            activate(np.matmul(a, cur, out=z[t % nz]), ht)
+            if not keep:
+                _check_finite([ht[None]], t)
+    if keep:
+        _check_finite([s[1:, :h]])
+    return s[t_steps % ns, :h].T, CellTape(t_steps, s, z)
+
+
+def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
+    """Run the LSTM over (T, B, D) inputs; returns (h_T as (B, H), tape)."""
+    h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
+    (s, gates, c, tc), ns, nz = _start(p, inputs, keep)
+    c[0] = 0.0
+    a = _stacked(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_steps):
+            cur = s[t % ns]
+            cur[h : h + d] = inputs[t].T
+            gt = np.matmul(a, cur, out=gates[t % nz])
+            sigmoid(gt[: 3 * h], out=gt[: 3 * h])
+            np.tanh(gt[3 * h :], out=gt[3 * h :])
+            i, f, o, g = gt[:h], gt[h : 2 * h], gt[2 * h : 3 * h], gt[3 * h :]
+            ct, tct = c[(t + 1) % ns], tc[t % nz]
+            np.multiply(f, c[t % ns], out=ct)
+            ct += np.multiply(i, g, out=tct)
+            np.tanh(ct, out=tct)
+            ht = np.multiply(o, tct, out=s[(t + 1) % ns, :h])
+            if not keep:
+                _check_finite([ht[None], ct[None]], t)
+    if keep:
+        _check_finite([s[1:, :h], c[1:]])
+    return s[t_steps % ns, :h].T, CellTape(t_steps, s, gates, c, tc)
+
+
+def _reverse_start(p, tape: CellTape, *deltas: np.ndarray):
+    """Validate the (B, H) deltas at the final state and allocate the reverse pass.
+
+    Returns the contiguous (H, G*H) transposed recurrent weights, the zeroed
+    stacked gradient with a same-shaped step buffer, a (G*H, B) buffer for
+    the pre-activation delta, and the deltas feature-major.
+    """
+    h, b = p.hidden, tape.s.shape[2]
+    for delta in deltas:
+        if delta.shape != (b, h):
+            raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
+    if tape.z.shape[0] != tape.steps:
+        raise ShapeError("tape holds scratch slots only; run the forward kernel with keep=True")
+    a = _stacked(p)
+    wt = np.ascontiguousarray(a[:, :h].T)
+    return wt, np.zeros_like(a), np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
+
+
+def rnn_backward(p: RnnParams, tape: CellTape, dh: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Reverse the taped pass from the (B, H) delta at h_T; returns (dh_0 as (B, H), gradients)."""
+    h = p.hidden
+    wt, grad, step, dz, (dh,) = _reverse_start(p, tape, dh)
+    for t in reversed(range(tape.steps)):
+        if p.activation == "relu":
+            np.multiply(dh, tape.z[t] > 0.0, out=dz)
+        elif p.activation == "tanh":
+            ht = tape.s[t + 1, :h]
+            np.multiply(dh, 1.0 - ht * ht, out=dz)
+        else:
+            dz[...] = dh
+        dh = wt @ dz
+        grad += np.matmul(dz, tape.s[t].T, out=step)
+    return dh.T, _split(p, grad)
+
+
+def lstm_backward(
+    p: LstmParams, tape: CellTape, dh: np.ndarray, dc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Reverse the taped pass from (B, H) deltas at h_T and c_T.
+
+    Returns (dh_0, dc_0, gradients). Gate derivatives use sigma' = s(1-s)
+    and tanh' = 1 - t**2 on the taped activations.
+    """
+    h = p.hidden
+    wt, grad, step, dz, (dh, dc) = _reverse_start(p, tape, dh, dc)
+    dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
+    for t in reversed(range(tape.steps)):
+        gt, tct = tape.z[t], tape.tc[t]
+        i, f, o, g = gt[:h], gt[h : 2 * h], gt[2 * h : 3 * h], gt[3 * h :]
+        dc_total = dc + dh * o * (1.0 - tct * tct)
+        np.multiply(1.0 - gt[: 3 * h], gt[: 3 * h], out=dz[: 3 * h])  # sigma' of i, f, o
+        dzi *= dc_total * g
+        dzf *= dc_total * tape.c[t]
+        dzo *= dh * tct
+        np.multiply(dc_total * i, 1.0 - g * g, out=dzg)
+        dc = dc_total * f
+        dh = wt @ dz
+        grad += np.matmul(dz, tape.s[t].T, out=step)
+    return dh.T, dc.T, _split(p, grad)

@@ -120,7 +120,7 @@ def compare_gradients(
 def _min_preactivation(spec: ModelSpec, tape) -> float:
     if spec.cell != "rnn" or spec.activation != "relu":
         return np.inf
-    return min(float(np.min(np.abs(cache.z))) for cache in tape.caches)
+    return float(np.min(np.abs(tape.cell.z)))
 
 
 # Draw scale for random instances: keeps a 10-step linear unroll from

@@ -120,7 +120,7 @@ def evaluate(
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
         batch = test_ds.batch(idx)
-        h_last, _ = _rollout(spec, params, batch.inputs, keep_caches=False)
+        h_last, _ = _rollout(spec, params, batch.inputs, keep=False)
         predictions = head_outputs(spec, head, h_last)
         loss_sum += head_loss(spec, predictions, batch.targets) * len(idx)
         if spec.head == "softmax":

@@ -88,9 +88,10 @@ def gaussian_vector(n: int, mean: float, std: float, rng: Rng) -> np.ndarray:
 def l2_norm(arrays) -> float:
     """Euclidean norm of all elements across every array in the collection."""
     total = 0.0
-    for a in arrays:
-        flat = np.asarray(a, dtype=np.float64).ravel()
-        total += float(np.dot(flat, flat))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported as an infinite norm
+        for a in arrays:
+            flat = np.asarray(a, dtype=np.float64).ravel()
+            total += float(np.dot(flat, flat))
     return math.sqrt(total)
 
 

@@ -1,10 +1,15 @@
 """Unrolled sequence model: recurrent cell plus readout head, with full BPTT.
 
-The model runs T cell steps from a zero initial state, applies the readout
-to the final hidden state only, and scores it with mean squared error
-(regression) or cross-entropy (softmax classification), averaged over the
-batch. ``backward`` replays the taped caches in reverse to produce exact
-gradients for every parameter block.
+The model runs the cell's whole-sequence kernel over T steps from a zero
+initial state, applies the readout to the final hidden state only, and
+scores it with mean squared error (regression) or cross-entropy (softmax
+classification), averaged over the batch. ``forward`` keeps the kernel's
+tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
+[h; x; 1], the (G*H, B) pre-activations or LSTM gate activations stacked
+i|f|o|g, and the LSTM cell states); ``evaluate`` and ``predict`` run the
+same kernel with reused scratch slots instead. ``backward`` injects the
+head's delta at h_T and runs the cell's backward kernel over the tape,
+which returns exact gradients for every parameter block.
 
 Checkpoint format (little-endian throughout):
 
@@ -34,20 +39,18 @@ import numpy as np
 
 from .cells import (
     ACTIVATIONS,
+    CellTape,
     LstmParams,
     RnnParams,
-    lstm_backstep,
-    lstm_step,
-    rnn_backstep,
-    rnn_step,
+    lstm_backward,
+    lstm_forward,
+    rnn_backward,
+    rnn_forward,
 )
 from .init import DEFAULT_INPUT_STD, InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline
 from .ndcore import DivergenceError, Rng, ShapeError, gaussian_fill, gaussian_vector
 
 CellParams = Union[RnnParams, LstmParams]
-
-# Any hidden activation beyond this magnitude aborts the run as diverged.
-OVERFLOW_LIMIT = 1e100
 
 CHECKPOINT_MAGIC = b"IRNN0001"
 
@@ -125,7 +128,7 @@ class Tape:
     """Everything ``backward`` needs from one forward pass."""
 
     spec: ModelSpec
-    caches: list
+    cell: CellTape
     h_last: np.ndarray
     predictions: np.ndarray  # (B,) predictions or (B, K) probabilities
     batch: SequenceBatch
@@ -189,11 +192,6 @@ def param_blocks(params: CellParams, head: HeadParams) -> dict[str, np.ndarray]:
 
 
 def _check_batch(spec: ModelSpec, batch: SequenceBatch) -> None:
-    t, b, d = batch.inputs.shape
-    if d != spec.input_dim:
-        raise ShapeError(f"batch input dim {d} does not match spec input_dim {spec.input_dim}")
-    if t < 1 or b < 1:
-        raise ShapeError(f"batch must have T >= 1 and B >= 1, got shape {batch.inputs.shape}")
     if spec.head == "softmax":
         labels = batch.targets
         if not np.issubdtype(labels.dtype, np.integer):
@@ -204,34 +202,10 @@ def _check_batch(spec: ModelSpec, batch: SequenceBatch) -> None:
             )
 
 
-def _check_step_finite(h: np.ndarray, t: int) -> None:
-    bad = not np.all(np.isfinite(h))
-    if not bad:
-        bad = bool(np.max(np.abs(h)) > OVERFLOW_LIMIT)
-    if bad:
-        raise DivergenceError(f"non-finite or overflowing activation at step {t}")
-
-
-def _rollout(spec: ModelSpec, params: CellParams, inputs: np.ndarray, keep_caches: bool):
-    """Run the cell over a (T, B, D) input block; returns (h_last, caches or None)."""
-    t_steps, b, _ = inputs.shape
-    h = np.zeros((b, spec.hidden), dtype=np.float64)
-    caches = [] if keep_caches else None
-    if spec.cell == "rnn":
-        for t in range(t_steps):
-            h, cache = rnn_step(params, h, inputs[t])
-            _check_step_finite(h, t)
-            if keep_caches:
-                caches.append(cache)
-    else:
-        c = np.zeros_like(h)
-        for t in range(t_steps):
-            h, c, cache = lstm_step(params, h, c, inputs[t])
-            _check_step_finite(h, t)
-            _check_step_finite(c, t)
-            if keep_caches:
-                caches.append(cache)
-    return h, caches
+def _rollout(spec: ModelSpec, params: CellParams, inputs: np.ndarray, keep: bool):
+    """Run the cell kernel over a (T, B, D) input block; returns (h_last, cell tape)."""
+    kernel = rnn_forward if spec.cell == "rnn" else lstm_forward
+    return kernel(params, inputs, keep)
 
 
 def head_outputs(spec: ModelSpec, head: HeadParams, h_last: np.ndarray) -> np.ndarray:
@@ -261,10 +235,10 @@ def head_loss(spec: ModelSpec, predictions: np.ndarray, targets: np.ndarray) -> 
 def forward(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> ForwardResult:
     """Full-sequence forward pass; returns (loss, predictions, tape)."""
     _check_batch(spec, batch)
-    h_last, caches = _rollout(spec, params, batch.inputs, keep_caches=True)
+    h_last, cell = _rollout(spec, params, batch.inputs, keep=True)
     predictions = head_outputs(spec, head, h_last)
     loss = head_loss(spec, predictions, batch.targets)
-    tape = Tape(spec=spec, caches=caches, h_last=h_last, predictions=predictions, batch=batch)
+    tape = Tape(spec=spec, cell=cell, h_last=h_last, predictions=predictions, batch=batch)
     return ForwardResult(loss, predictions, tape)
 
 
@@ -272,11 +246,11 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
     """Exact gradients of the mean loss for every parameter block.
 
     The loss reads the final state only, so the hidden delta is injected at
-    t = T and propagated backward through the taped caches.
+    t = T and propagated backward through the tape by the cell's kernel.
     """
     if tape.spec != spec:
         raise ValueError("tape was produced under a different model spec")
-    if tape.h_last.shape[1] != spec.hidden or len(tape.caches) != tape.batch.steps:
+    if tape.h_last.shape[1] != spec.hidden or tape.cell.steps != tape.batch.steps:
         raise ShapeError("tape does not match the given spec/batch")
     b = tape.batch.size
     h_last = tape.h_last
@@ -293,26 +267,10 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
         dc_head = dlogits.sum(axis=0)
         dh = dlogits @ head.U
     dh_last = dh.copy()
-
-    blocks: dict[str, np.ndarray]
     if spec.cell == "rnn":
-        dw = np.zeros_like(params.W)
-        dv = np.zeros_like(params.V)
-        db = np.zeros_like(params.b)
-        for cache in reversed(tape.caches):
-            dh, dw_t, dv_t, db_t = rnn_backstep(params, cache, dh)
-            dw += dw_t
-            dv += dv_t
-            db += db_t
-        blocks = {"W": dw, "V": dv, "b": db}
+        dh, blocks = rnn_backward(params, tape.cell, dh)
     else:
-        acc = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-        dc = np.zeros_like(dh)
-        for cache in reversed(tape.caches):
-            dh, dc, step_grads = lstm_backstep(params, cache, dh, dc)
-            for name, g in step_grads.items():
-                acc[name] += g
-        blocks = acc
+        dh, _, blocks = lstm_backward(params, tape.cell, dh, np.zeros_like(dh))
     blocks["U"] = du
     blocks["c"] = dc_head
     return Gradients(blocks=blocks, dh0=dh, dh_last=dh_last)
@@ -324,10 +282,7 @@ def predict(spec: ModelSpec, params: CellParams, head: HeadParams, inputs: np.nd
     Returns scalar predictions (regression) or argmax class indices
     (softmax; ties break toward the lowest class index).
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[2] != spec.input_dim:
-        raise ShapeError(f"inputs must have shape (T, B, {spec.input_dim}), got {inputs.shape}")
-    h_last, _ = _rollout(spec, params, inputs, keep_caches=False)
+    h_last, _ = _rollout(spec, params, np.asarray(inputs), keep=False)
     out = head_outputs(spec, head, h_last)
     if spec.head == "regression":
         return out
@@ -341,30 +296,12 @@ _HEAD_CODES = {"regression": 0, "softmax": 1}
 _INIT_CODES = {None: 0, "identity": 1, "iscale": 2, "gauss": 3}
 
 
-def _block_order(spec: ModelSpec) -> list[str]:
-    if spec.cell == "rnn":
-        return ["W", "V", "b", "U", "c"]
-    order = []
-    for gate in ("i", "f", "o", "g"):
-        order += [f"W{gate}", f"V{gate}", f"b{gate}"]
-    return order + ["U", "c"]
-
-
 def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Every block's shape, in checkpoint order: the cell's (W, V, b) per gate, then U, c."""
     h, d, k = spec.hidden, spec.input_dim, spec.head_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name in _block_order(spec):
-        if name == "U":
-            shapes[name] = (k, h)
-        elif name == "c":
-            shapes[name] = (k,)
-        elif name.startswith("W"):
-            shapes[name] = (h, h)
-        elif name.startswith("V"):
-            shapes[name] = (h, d)
-        else:
-            shapes[name] = (h,)
-    return shapes
+    gates = (RnnParams if spec.cell == "rnn" else LstmParams).gates
+    kinds = {"W": (h, h), "V": (h, d), "b": (h,)}
+    return {**{f"{kind}{g}": kinds[kind] for g in gates for kind in "WVb"}, "U": (k, h), "c": (k,)}
 
 
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:
@@ -386,8 +323,15 @@ def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams)
     blocks = param_blocks(params, head)
     with open(path, "wb") as fh:
         fh.write(header)
-        for name in _block_order(spec):
+        for name in _block_shapes(spec):
             fh.write(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes())
+
+
+def _decode(path, field: str, offset: int, codes: dict, code: int):
+    for name, value in codes.items():
+        if value == code:
+            return name
+    raise ValueError(f"{path}: unknown {field} code {code} at offset {offset}")
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
@@ -399,10 +343,10 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
     (_, cell_c, act_c, hidden, input_dim, head_c, classes, init_c, init_val, input_std, fb) = (
         _SPEC_STRUCT.unpack_from(data)
     )
-    cell = {v: k for k, v in _CELL_CODES.items()}[cell_c]
-    activation = {v: k for k, v in _ACT_CODES.items()}[act_c]
-    head_kind = {v: k for k, v in _HEAD_CODES.items()}[head_c]
-    init_kind = {v: k for k, v in _INIT_CODES.items()}[init_c]
+    cell = _decode(path, "cell", 8, _CELL_CODES, cell_c)
+    activation = _decode(path, "activation", 16, _ACT_CODES, act_c)
+    head_kind = _decode(path, "head", 40, _HEAD_CODES, head_c)
+    init_kind = _decode(path, "init kind", 56, _INIT_CODES, init_c)
     scheme = None if init_kind is None else InitScheme(init_kind, init_val)
     spec = ModelSpec(
         cell=cell,
@@ -421,8 +365,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
     offset = _SPEC_STRUCT.size
     blocks: dict[str, np.ndarray] = {}
-    for name in _block_order(spec):
-        shape = shapes[name]
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         blocks[name] = (
             np.frombuffer(data, dtype="<f8", count=count, offset=offset)
@@ -431,10 +374,5 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
         )
         offset += 8 * count
     head = HeadParams(U=blocks.pop("U"), c=blocks.pop("c"))
-    if cell == "rnn":
-        params: CellParams = RnnParams(
-            W=blocks["W"], V=blocks["V"], b=blocks["b"], activation=activation
-        )
-    else:
-        params = LstmParams(**blocks)
+    params: CellParams = RnnParams(**blocks, activation=activation) if cell == "rnn" else LstmParams(**blocks)
     return spec, params, head

@@ -146,6 +146,20 @@ class TestEval:
                        "--data", str(test_file)) == 0
         assert "rmse" in capsys.readouterr().out
 
+    def test_unknown_checkpoint_cell_code_exits_2(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
+                       "--lr", "0.05", "--clip", "1", "--steps", "0", "--eval-every", "10",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
+        checkpoint = out / "checkpoint.irnn"
+        data = bytearray(checkpoint.read_bytes())
+        data[8:16] = (7).to_bytes(8, "little")  # cell code
+        checkpoint.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(test_file)) == 2
+        assert "unknown cell code 7 at offset 8" in capsys.readouterr().err
+
 
 class TestGridSearchCli:
     def test_small_grid_writes_summary(self, adding_files, tmp_path, capsys):

@@ -20,6 +20,7 @@ from irnnlab import (
     predict,
     save_checkpoint,
 )
+from irnnlab.harness import evaluate
 from irnnlab.network import CHECKPOINT_MAGIC
 
 
@@ -131,6 +132,55 @@ class TestForward:
         spec, params, head = zero_model(head="softmax", classes=3)
         with pytest.raises(ValueError):
             forward(spec, params, head, SequenceBatch(inputs=np.zeros((1, 1, 2)), targets=np.array([3])))
+
+
+class _FixedDataset:
+    """Serves slices of one batch, the interface ``harness.evaluate`` reads."""
+
+    def __init__(self, batch):
+        self._batch = batch
+
+    def __len__(self):
+        return self._batch.size
+
+    def batch(self, idx):
+        return SequenceBatch(inputs=self._batch.inputs[:, idx], targets=self._batch.targets[idx])
+
+
+def _tenfold_linear_model():
+    h = 4
+    spec = ModelSpec(cell="rnn", hidden=h, input_dim=1, head="regression", activation="linear")
+    params = RnnParams(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
+    return spec, params, HeadParams(U=np.ones((1, h)), c=np.zeros(1)), np.ones((200, 1, 1))
+
+
+def _lstm_with_nan_input():
+    rng = make_rng(5)
+    spec = ModelSpec(cell="lstm", hidden=6, input_dim=2, head="regression")
+    params, head = init_params(spec, rng)
+    inputs = rng.normal(size=(60, 4, 2))
+    inputs[37, 2, 1] = np.nan
+    return spec, params, head, inputs
+
+
+class TestDivergenceLocalisation:
+    """The taped path checks once per sequence and scans only on failure; the
+    tape-free path checks every step. Both must name the step the per-step
+    check names: h_t = 1.11...e{t} first exceeds 1e100 at t=100, and a NaN
+    fed in at step 37 reaches h and c at step 37."""
+
+    @pytest.mark.parametrize("model,step", [(_tenfold_linear_model, 100), (_lstm_with_nan_input, 37)])
+    @pytest.mark.parametrize("path", ["forward", "predict", "evaluate"])
+    def test_names_first_bad_step(self, model, step, path):
+        spec, params, head, inputs = model()
+        batch = SequenceBatch(inputs=inputs, targets=np.zeros(inputs.shape[1]))
+        run = {
+            "forward": lambda: forward(spec, params, head, batch),
+            "predict": lambda: predict(spec, params, head, inputs),
+            "evaluate": lambda: evaluate(spec, params, head, _FixedDataset(batch)),
+        }[path]
+        with pytest.raises(DivergenceError, match=rf"at step {step}$"):
+            run()
 
 
 class TestBackward:
@@ -304,6 +354,17 @@ class TestCheckpoint:
         save_checkpoint(path, spec, params, head)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,offset", [("cell", 8), ("activation", 16), ("head", 40), ("init kind", 56)])
+    def test_unknown_header_code_rejected(self, tmp_path, field, offset):
+        spec, params, head = zero_model()
+        path = tmp_path / "model.irnn"
+        save_checkpoint(path, spec, params, head)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = (7).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"unknown {field} code 7 at offset {offset}"):
             load_checkpoint(path)
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +63,14 @@ class TestClipGradients:
         g = {"v": np.array([1.0, np.nan])}
         with pytest.raises(DivergenceError):
             clip_gradients(g, 1.0)
+
+    def test_overflowing_norm_reports_divergence_without_warning(self):
+        g = {"W": np.full((3, 3), 1e200), "b": np.ones(3)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l2_norm(g.values()) == math.inf
+            with pytest.raises(DivergenceError):
+                clip_gradients(g, 1.0)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
