@@ -36,7 +36,6 @@ from .tasks import (
     load_mnist,
     make_permutation,
     save_adding,
-    to_sequence_batch,
 )
 
 __all__ = [
@@ -80,6 +79,5 @@ __all__ = [
     "save_adding",
     "save_checkpoint",
     "sgd_step",
-    "to_sequence_batch",
     "train",
 ]

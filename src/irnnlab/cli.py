@@ -54,12 +54,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _parse_float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_float_list(flag: str, text: str) -> list[float]:
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"{flag}: not a comma-separated list of numbers: {text!r}") from None
     if not values:
-        raise UsageError(f"empty list {text!r}")
+        raise UsageError(f"{flag}: empty list {text!r}")
     if any(not v > 0 for v in values):
-        raise UsageError(f"list values must be positive, got {text!r}")
+        raise UsageError(f"{flag}: list values must be positive, got {text!r}")
     return values
 
 
@@ -76,7 +79,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=cmd_gen_adding)
 
     p = sub.add_parser("train", help="train one model configuration")
-    _add_model_flags(p, required=False)  # a --manifest replay supplies them
+    _add_model_flags(p, train=True)  # a --manifest replay supplies them
     p.add_argument("--lr", type=float)
     p.add_argument("--clip", type=float)
     p.add_argument("--steps", type=int, help=f"update budget (default per task: {DEFAULT_STEPS})")
@@ -85,8 +88,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir")
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("grid-search", help="train every cell of a hyperparameter grid")
-    _add_model_flags(p)
+    # no abbreviations, so --forget-bias is rejected rather than read as --forget-biases
+    p = sub.add_parser("grid-search", help="train every cell of a hyperparameter grid", allow_abbrev=False)
+    _add_model_flags(p, train=False)
     p.add_argument("--lrs", default=",".join(f"{v:g}" for v in harness.DEFAULT_LRS))
     p.add_argument("--clips", default=",".join(f"{v:g}" for v in harness.DEFAULT_CLIPS))
     p.add_argument(
@@ -122,23 +126,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_model_flags(p, required: bool = True) -> None:
-    p.add_argument("--task", choices=("adding", "mnist"), required=required)
-    p.add_argument("--cell", choices=("rnn", "lstm"), required=required)
+def _add_model_flags(p, train: bool) -> None:
+    p.add_argument("--task", choices=("adding", "mnist"), required=not train)
+    p.add_argument("--cell", choices=("rnn", "lstm"), required=not train)
     p.add_argument("--activation", choices=("relu", "tanh", "linear"))
     p.add_argument("--init", help="identity | iscale:<s> | gauss:<std> | baseline (rnn only)")
     p.add_argument("--hidden", type=int, default=100)
-    p.add_argument("--forget-bias", type=float, help="LSTM forget-gate bias (lstm only)")
+    if train:  # grid-search sweeps --forget-biases instead
+        p.add_argument("--forget-bias", type=float, help="LSTM forget-gate bias (lstm only)")
     p.add_argument("--input-init-std", type=float, default=0.001)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data", nargs="+", required=required, help="adding: train.addp test.addp; mnist: train-images train-labels test-images test-labels")
+    p.add_argument("--data", nargs="+", required=not train, help="adding: train.addp test.addp; mnist: train-images train-labels test-images test-labels")
     p.add_argument("--permute-seed", type=int, help="fixed pixel permutation seed (mnist only)")
     p.add_argument("--downsample", type=int, help="average-pool images to this side (mnist only)")
 
 
+def _reject_mnist_flags(args, applies_to: str) -> None:
+    for flag, value in (("--permute-seed", args.permute_seed), ("--downsample", args.downsample)):
+        if value is not None:
+            raise UsageError(f"{flag} only applies to {applies_to}")
+
+
 def _resolve_model(args) -> ModelSpec:
     """Validate flag combinations and produce the ModelSpec."""
+    forget_bias = getattr(args, "forget_bias", None)  # grid-search has no --forget-bias
     if args.cell == "lstm":
         conflicts = [
             name
@@ -147,13 +159,10 @@ def _resolve_model(args) -> ModelSpec:
         ]
         if conflicts:
             raise UsageError(f"{' and '.join(conflicts)} only apply to --cell rnn")
-    else:
-        if args.forget_bias is not None:
-            raise UsageError("--forget-bias only applies to --cell lstm")
+    elif forget_bias is not None:
+        raise UsageError("--forget-bias only applies to --cell lstm")
     if args.task == "adding":
-        for flag, value in (("--permute-seed", args.permute_seed), ("--downsample", args.downsample)):
-            if value is not None:
-                raise UsageError(f"{flag} only applies to --task mnist")
+        _reject_mnist_flags(args, "--task mnist")
 
     activation = args.activation or "relu"
     if args.cell == "rnn":
@@ -179,7 +188,7 @@ def _resolve_model(args) -> ModelSpec:
         classes=classes,
         init=init,
         input_init_std=args.input_init_std,
-        forget_bias=args.forget_bias if args.forget_bias is not None else 1.0,
+        forget_bias=forget_bias if forget_bias is not None else 1.0,
     )
 
 
@@ -194,15 +203,18 @@ def _load_datasets(args):
         raise UsageError(
             "--task mnist needs --data TRAIN_IMAGES TRAIN_LABELS TEST_IMAGES TEST_LABELS"
         )
-    train_raw = tasks.load_mnist(paths[0], paths[1])
-    test_raw = tasks.load_mnist(paths[2], paths[3])
-    side = args.downsample if args.downsample is not None else train_raw.side
+    return _load_pixel_sequences(paths, args)
+
+
+def _load_pixel_sequences(paths, args) -> tuple:
+    """One pixel-sequence dataset per (images, labels) IDX pair, then the permutation applied (or None)."""
+    raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
+    side = args.downsample if args.downsample is not None else raws[0].side
     perm = None
     if args.permute_seed is not None:
         perm = tasks.make_permutation(side * side, args.permute_seed)
-    train_ds = tasks.prepare_pixel_sequences(train_raw, perm, args.downsample)
-    test_ds = tasks.prepare_pixel_sequences(test_raw, perm, args.downsample)
-    return train_ds, test_ds, perm
+    datasets = [tasks.prepare_pixel_sequences(raw, perm, args.downsample) for raw in raws]
+    return (*datasets, perm)
 
 
 def _write_manifest(out_dir: Path, command: str, flags: dict, data_paths) -> None:
@@ -236,33 +248,59 @@ def cmd_gen_adding(args) -> int:
     return 0
 
 
-_TRAIN_FLAG_NAMES = (
-    "task", "cell", "activation", "init", "hidden", "forget_bias", "input_init_std",
-    "batch", "seed", "data", "permute_seed", "downsample", "lr", "clip", "steps",
-    "eval_every", "out_dir",
-)
+_TRAIN_REQUIRED = ("task", "cell", "data", "lr", "clip", "out_dir")
 
 
-def _train_flags(args) -> dict:
-    return {name: getattr(args, name) for name in _TRAIN_FLAG_NAMES}
+def _manifest_flags(args) -> dict:
+    """The parsed flags in parser order, as a manifest records them."""
+    return {name: value for name, value in vars(args).items() if name not in ("command", "handler", "manifest")}
+
+
+def _valid_flag_value(action: argparse.Action, value) -> bool:
+    if value is None:
+        return action.default is None and action.dest not in _TRAIN_REQUIRED
+    if action.nargs == "+":
+        return isinstance(value, list) and len(value) > 0 and all(isinstance(v, str) for v in value)
+    if action.type is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is (action.type or str) and (action.choices is None or value in action.choices)
+
+
+def _replay_manifest(args) -> None:
+    """Set every train flag from ``args.manifest`` after checking the file's layout and value types."""
+    path = args.manifest
+    with open(path, "r", encoding="ascii") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(manifest).__name__}")
+    for key, kind in (("command", str), ("flags", dict), ("data_sha256", dict)):
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{path}: field {key!r} is missing or not a JSON {kind.__name__}")
+    if manifest["command"] != "train":
+        raise ValueError(f"{path} is not a train manifest")
+    flags = manifest["flags"]
+    expected = _manifest_flags(args)
+    for name in sorted(set(flags) ^ set(expected)):
+        raise ValueError(f"{path}: flag {name!r} is {'missing' if name in expected else 'unknown'}")
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in subcommands.choices["train"]._actions}
+    for name, value in flags.items():
+        if not _valid_flag_value(actions[name], value):
+            raise ValueError(f"{path}: flag {name!r} has invalid value {value!r}")
+    override_out = args.out_dir  # the one flag a replay may override
+    vars(args).update(flags)
+    if override_out is not None:
+        args.out_dir = override_out
+    for data_path, digest in manifest["data_sha256"].items():
+        actual = _sha256(data_path)
+        if actual != digest:
+            raise ValueError(f"data file {data_path} changed since the manifest (sha256 {actual} != {digest})")
 
 
 def cmd_train(args) -> int:
     if args.manifest is not None:
-        with open(args.manifest, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-        if manifest.get("command") != "train":
-            raise ValueError(f"{args.manifest} is not a train manifest")
-        override_out = args.out_dir
-        for name, value in manifest["flags"].items():
-            setattr(args, name, value)
-        if override_out is not None:
-            args.out_dir = override_out
-        for path, digest in manifest["data_sha256"].items():
-            actual = _sha256(path)
-            if actual != digest:
-                raise ValueError(f"data file {path} changed since the manifest (sha256 {actual} != {digest})")
-    for flag in ("task", "cell", "data", "lr", "clip", "out_dir"):
+        _replay_manifest(args)
+    for flag in _TRAIN_REQUIRED:
         if getattr(args, flag) is None:
             raise UsageError(f"--{flag.replace('_', '-')} is required (or use --manifest)")
     if args.steps is None:
@@ -282,7 +320,7 @@ def cmd_train(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "train", _train_flags(args), args.data)
+    _write_manifest(out_dir, "train", _manifest_flags(args), args.data)
     if perm is not None:
         tasks.save_permutation(perm, out_dir / "permutation.txt")
 
@@ -309,9 +347,9 @@ def cmd_grid_search(args) -> int:
         args.eval_every = DEFAULT_EVAL_EVERY[args.task]
     spec = _resolve_model(args)
     grid = harness.GridSpec(
-        lrs=tuple(_parse_float_list(args.lrs)),
-        clips=tuple(_parse_float_list(args.clips)),
-        forget_biases=tuple(_parse_float_list(args.forget_biases)),
+        lrs=tuple(_parse_float_list("--lrs", args.lrs)),
+        clips=tuple(_parse_float_list("--clips", args.clips)),
+        forget_biases=tuple(_parse_float_list("--forget-biases", args.forget_biases)),
     )
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
@@ -326,15 +364,7 @@ def cmd_grid_search(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    flags = {
-        name: getattr(args, name)
-        for name in (
-            "task", "cell", "activation", "init", "hidden", "input_init_std", "batch", "seed",
-            "data", "permute_seed", "downsample", "lrs", "clips", "forget_biases",
-            "steps_per_cell", "eval_every", "workers", "out_dir",
-        )
-    }
-    _write_manifest(out_dir, "grid-search", flags, args.data)
+    _write_manifest(out_dir, "grid-search", _manifest_flags(args), args.data)
     ranked = harness.grid_search(
         spec, grid, budget, train_ds, test_ds, out_dir, workers=args.workers
     )
@@ -350,16 +380,12 @@ def cmd_eval(args) -> int:
     if spec.head == "regression":
         if len(paths) != 1:
             raise UsageError("regression checkpoints need --data TEST.addp")
+        _reject_mnist_flags(args, "softmax (mnist) checkpoints")
         ds = tasks.load_adding(paths[0])
     else:
         if len(paths) != 2:
             raise UsageError("softmax checkpoints need --data TEST_IMAGES TEST_LABELS")
-        raw = tasks.load_mnist(paths[0], paths[1])
-        side = args.downsample if args.downsample is not None else raw.side
-        perm = None
-        if args.permute_seed is not None:
-            perm = tasks.make_permutation(side * side, args.permute_seed)
-        ds = tasks.prepare_pixel_sequences(raw, perm, args.downsample)
+        ds, _ = _load_pixel_sequences(paths, args)
     loss, metric = harness.evaluate(spec, params, head, ds)
     metric_name = "rmse" if spec.head == "regression" else "accuracy"
     print(f"test_loss {loss!r} {metric_name} {metric!r}")

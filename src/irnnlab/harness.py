@@ -130,21 +130,6 @@ def evaluate(
     return loss, metric
 
 
-class _MetricsWriter:
-    def __init__(self, path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="ascii", newline="\n")
-        self._fh.write(METRICS_HEADER + "\n")
-
-    def write(self, row: MetricsRow) -> None:
-        self._fh.write(row.as_csv() + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def train(
     spec: ModelSpec,
     cfg: TrainConfig,
@@ -164,7 +149,11 @@ def train(
     params, head = init_params(spec, rng)
     blocks = param_blocks(params, head)
     result = TrainResult(params=params, head=head, history=[])
-    writer = _MetricsWriter(metrics_path) if metrics_path is not None else None
+    metrics = None
+    if metrics_path is not None:
+        Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
+        metrics = open(metrics_path, "w", encoding="ascii", newline="\n")
+        metrics.write(METRICS_HEADER + "\n")
     n = len(train_ds)
     order = rng.permutation(n)
     cursor = 0
@@ -193,8 +182,9 @@ def train(
                         wallclock_s=timer() - start_time,
                     )
                     result.history.append(row)
-                    if writer is not None:
-                        writer.write(row)
+                    if metrics is not None:
+                        metrics.write(row.as_csv() + "\n")
+                        metrics.flush()
                     if log is not None:
                         log(row)
             except DivergenceError:
@@ -202,8 +192,8 @@ def train(
                 result.diverged_at = step
                 break
     finally:
-        if writer is not None:
-            writer.close()
+        if metrics is not None:
+            metrics.close()
     return result
 
 
@@ -262,7 +252,6 @@ def grid_search(
     test_ds,
     out_dir,
     workers: int = 1,
-    log=None,
 ) -> list[dict]:
     """Train one cell per grid point and rank the outcomes.
 
@@ -282,11 +271,7 @@ def grid_search(
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 rows = list(pool.map(_run_cell, range(len(cells))))
         else:
-            rows = []
-            for i in range(len(cells)):
-                rows.append(_run_cell(i))
-                if log is not None:
-                    log(rows[-1])
+            rows = [_run_cell(i) for i in range(len(cells))]
     finally:
         _WORKER_CTX.clear()
     ranked = sorted(rows, key=_rank_key)

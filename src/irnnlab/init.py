@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndcore import Rng, gaussian_fill, gaussian_vector, identity, scaled_identity
+from .ndcore import Rng
 
 DEFAULT_INPUT_STD = 0.001
 
@@ -62,20 +62,20 @@ def init_recurrent(scheme: InitScheme, h: int, rng: Rng) -> np.ndarray:
     if h < 1:
         raise ValueError(f"hidden size must be >= 1, got {h}")
     if scheme.kind == "identity":
-        return identity(h)
+        return np.eye(h)
     if scheme.kind == "iscale":
-        return scaled_identity(h, scheme.value)
-    return gaussian_fill(h, h, 0.0, scheme.value, rng)
+        return np.eye(h) * scheme.value
+    return rng.normal(0.0, scheme.value, size=(h, h))
 
 
 def init_input_and_bias(
     std: float, h: int, d: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input matrix V (H x D) and bias b (H), both Gaussian(0, std**2)."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    v = gaussian_fill(h, d, 0.0, std, rng)
-    b = gaussian_vector(h, 0.0, std, rng)
+    if std < 0 or h < 1 or d < 1:
+        raise ValueError(f"need std >= 0 and sizes >= 1, got std={std}, h={h}, d={d}")
+    v = rng.normal(0.0, std, size=(h, d))
+    b = rng.normal(0.0, std, size=h)
     return v, b
 
 
@@ -83,7 +83,7 @@ def init_tanh_baseline(h: int, d: int, rng: Rng) -> tuple[np.ndarray, np.ndarray
     """Standard tanh-RNN baseline: W ~ N(0, 1/H), V ~ N(0, 1/D), zero bias."""
     if h < 1 or d < 1:
         raise ValueError(f"sizes must be >= 1, got h={h}, d={d}")
-    w = gaussian_fill(h, h, 0.0, 1.0 / np.sqrt(h), rng)
-    v = gaussian_fill(h, d, 0.0, 1.0 / np.sqrt(d), rng)
+    w = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h))
+    v = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
     b = np.zeros(h, dtype=np.float64)
     return w, v, b

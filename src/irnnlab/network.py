@@ -48,7 +48,7 @@ from .cells import (
     rnn_forward,
 )
 from .init import DEFAULT_INPUT_STD, InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline
-from .ndcore import DivergenceError, Rng, ShapeError, gaussian_fill, gaussian_vector
+from .ndcore import DivergenceError, Rng, ShapeError
 
 CellParams = Union[RnnParams, LstmParams]
 
@@ -164,7 +164,7 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
             if spec.activation == "tanh":
                 w, v, b = init_tanh_baseline(h, d, rng)
             else:
-                w = gaussian_fill(h, h, 0.0, std, rng)
+                w = rng.normal(0.0, std, size=(h, h))
                 v, b = init_input_and_bias(std, h, d, rng)
         else:
             w = init_recurrent(spec.init, h, rng)
@@ -173,14 +173,14 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
     else:
         triples = {}
         for gate in ("i", "f", "o", "g"):
-            triples[f"W{gate}"] = gaussian_fill(h, h, 0.0, std, rng)
-            triples[f"V{gate}"] = gaussian_fill(h, d, 0.0, std, rng)
+            triples[f"W{gate}"] = rng.normal(0.0, std, size=(h, h))
+            triples[f"V{gate}"] = rng.normal(0.0, std, size=(h, d))
             triples[f"b{gate}"] = np.zeros(h, dtype=np.float64)
         triples["bf"] = np.full(h, float(spec.forget_bias), dtype=np.float64)
         params = LstmParams(**triples)
     k = spec.head_dim
-    u = gaussian_fill(k, h, 0.0, std, rng)
-    c = gaussian_vector(k, 0.0, std, rng) if std > 0 else np.zeros(k, dtype=np.float64)
+    u = rng.normal(0.0, std, size=(k, h))
+    c = rng.normal(0.0, std, size=k) if std > 0 else np.zeros(k, dtype=np.float64)
     return params, HeadParams(U=u, c=c)
 
 

@@ -10,11 +10,12 @@ int64 T, int64 n (little-endian), then per example T signal doubles, T mask
 doubles, and one target double.
 
 MNIST loads from the standard IDX files (big-endian magic 0x00000803 for
-images, 0x00000801 for labels). Images become T = side*side step sequences
-of one pixel each, scanline order, scaled to [0, 1]; an optional fixed
-permutation reorders the pixel sequence identically for every image, and an
-optional average-pool downsample (to any side dividing 28) shortens the
-sequence for desk-scale runs.
+images, 0x00000801 for labels). ``prepare_pixel_sequences`` turns a whole
+set, once, into T = side*side step sequences of one pixel each, scanline
+order, scaled to [0, 1]; an optional fixed permutation reorders the pixel
+sequence identically for every image, and an optional average-pool
+downsample (to any side dividing 28) shortens the sequence for desk-scale
+runs. Training and evaluation slice their minibatches from that one set.
 """
 
 from __future__ import annotations
@@ -126,12 +127,11 @@ def load_adding(path) -> AddingDataset:
 
 @dataclass
 class MnistSeqDataset:
-    """Raw MNIST images (N, side*side) as bytes, labels (N,), optional pixel permutation."""
+    """Raw MNIST images (N, side*side) as bytes and labels (N,)."""
 
     images: np.ndarray
     labels: np.ndarray
     side: int
-    permutation: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -218,43 +218,6 @@ def _pool_images(images: np.ndarray, side: int, new_side: int) -> np.ndarray:
     return blocks.mean(axis=(2, 4))
 
 
-def sequence_floats(
-    ds: MnistSeqDataset,
-    indices,
-    permutation: np.ndarray | None = None,
-    downsample: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Selected images as (B, T) float rows in [0, 1]; returns (floats, labels, side).
-
-    Downsampling average-pools the raw bytes first; the permutation then
-    reorders the flattened pixel sequence identically for every image.
-    """
-    imgs = ds.images[indices].astype(np.float64).reshape(-1, ds.side, ds.side)
-    side = ds.side
-    if downsample is not None and downsample != ds.side:
-        imgs = _pool_images(imgs, ds.side, downsample)
-        side = downsample
-    flat = imgs.reshape(-1, side * side) / 255.0
-    if permutation is None:
-        permutation = ds.permutation
-    if permutation is not None:
-        _validate_permutation(np.asarray(permutation), side * side)
-        flat = flat[:, permutation]
-    return flat, ds.labels[indices].astype(np.int64), side
-
-
-def to_sequence_batch(
-    ds: MnistSeqDataset,
-    indices,
-    permutation: np.ndarray | None = None,
-    downsample: int | None = None,
-) -> SequenceBatch:
-    """Images as (T, B, 1) pixel sequences with integer class targets."""
-    flat, labels, _ = sequence_floats(ds, indices, permutation, downsample)
-    inputs = np.ascontiguousarray(flat.T[:, :, None])
-    return SequenceBatch(inputs=inputs, targets=labels)
-
-
 @dataclass
 class PixelSequenceDataset:
     """Precomputed pixel sequences for training: floats (N, T) in [0, 1], labels (N,)."""
@@ -264,10 +227,6 @@ class PixelSequenceDataset:
 
     def __len__(self) -> int:
         return self.floats.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.floats.shape[1]
 
     def batch(self, indices) -> SequenceBatch:
         inputs = np.ascontiguousarray(self.floats[indices].T[:, :, None])
@@ -279,6 +238,18 @@ def prepare_pixel_sequences(
     permutation: np.ndarray | None = None,
     downsample: int | None = None,
 ) -> PixelSequenceDataset:
-    """Apply downsample/permutation once so per-batch slicing is cheap."""
-    flat, labels, _ = sequence_floats(ds, np.arange(len(ds)), permutation, downsample)
-    return PixelSequenceDataset(floats=flat, labels=labels)
+    """Every image as a row of T floats in [0, 1], computed once so per-batch slicing is cheap.
+
+    Downsampling average-pools the raw bytes first; the permutation then
+    reorders the flattened pixel sequence identically for every image.
+    """
+    imgs = ds.images.astype(np.float64).reshape(-1, ds.side, ds.side)
+    side = ds.side
+    if downsample is not None and downsample != ds.side:
+        imgs = _pool_images(imgs, ds.side, downsample)
+        side = downsample
+    flat = imgs.reshape(-1, side * side) / 255.0
+    if permutation is not None:
+        _validate_permutation(np.asarray(permutation), side * side)
+        flat = flat[:, permutation]
+    return PixelSequenceDataset(floats=flat, labels=ds.labels.astype(np.int64))

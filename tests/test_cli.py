@@ -11,6 +11,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+def _drop(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
 @pytest.fixture
 def adding_files(tmp_path):
     out = tmp_path / "data"
@@ -108,6 +112,30 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda m: [m], "top level"),
+        (lambda m: _drop(m, "flags"), "'flags'"),
+        (lambda m: _drop(m, "data_sha256"), "'data_sha256'"),
+        (lambda m: {**m, "flags": _drop(m["flags"], "forget_bias")}, "'forget_bias'"),
+        (lambda m: {**m, "flags": {**m["flags"], "frobnicate": 1}}, "'frobnicate'"),
+        (lambda m: {**m, "flags": {**m["flags"], "hidden": "x"}}, "'hidden'"),
+        (lambda m: {**m, "flags": {**m["flags"], "steps": "3"}}, "'steps'"),
+        (lambda m: {**m, "flags": {**m["flags"], "task": "speech"}}, "'task'"),
+        (lambda m: {**m, "flags": {**m["flags"], "lr": None}}, "'lr'"),
+    ], ids=["array", "no-flags", "no-data-sha256", "missing-flag", "unknown-flag", "hidden-str",
+            "steps-str", "task-choice", "lr-null"])
+    def test_malformed_manifest_exits_2_naming_field(self, adding_files, tmp_path, capsys, mutate, field):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
+                       "--lr", "0.05", "--clip", "1", "--steps", "0",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads((out / "manifest.json").read_text()))))
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", str(bad), "--out-dir", str(tmp_path / "replay")) == 2
+        assert field in capsys.readouterr().err
+
     def test_divergent_run_exits_3(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--activation", "linear",
@@ -146,6 +174,18 @@ class TestEval:
                        "--data", str(test_file)) == 0
         assert "rmse" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--permute-seed", "--downsample"])
+    def test_mnist_flags_on_regression_checkpoint_exit_1(self, adding_files, tmp_path, capsys, flag):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
+                       "--lr", "0.05", "--clip", "1", "--steps", "0",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
+                       "--data", str(test_file), flag, "7") == 1
+        assert flag in capsys.readouterr().err
+
     def test_unknown_checkpoint_cell_code_exits_2(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
         out = tmp_path / "run"
@@ -175,13 +215,24 @@ class TestGridSearchCli:
         assert {(r["lr"], r["gc"]) for r in summary} == {(0.01, 1.0), (0.1, 1.0)}
         assert "best cell" in capsys.readouterr().out
 
-    def test_empty_list_rejected(self, adding_files, tmp_path):
+    def test_empty_list_rejected(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
-        code = run_cli("grid-search", "--task", "adding", "--cell", "rnn",
-                       "--lrs", ",", "--clips", "1", "--steps-per-cell", "5",
-                       "--data", str(train_file), str(test_file),
-                       "--out-dir", str(tmp_path / "g"))
-        assert code == 1
+        for flag, text in (("--lrs", ","), ("--lrs", "abc"), ("--clips", "abc"), ("--forget-biases", "abc")):
+            code = run_cli("grid-search", "--task", "adding", "--cell", "lstm", "--lrs", "0.1",
+                           flag, text, "--steps-per-cell", "5",
+                           "--data", str(train_file), str(test_file),
+                           "--out-dir", str(tmp_path / "g"))
+            assert code == 1
+            assert flag in capsys.readouterr().err
+
+    def test_forget_bias_not_a_grid_flag(self, adding_files, tmp_path):
+        train_file, test_file = adding_files
+        with pytest.raises(SystemExit) as exc:
+            run_cli("grid-search", "--task", "adding", "--cell", "lstm", "--forget-bias", "7",
+                    "--lrs", "0.1", "--clips", "1", "--forget-biases", "1", "--steps-per-cell", "5",
+                    "--data", str(train_file), str(test_file), "--out-dir", str(tmp_path / "g"))
+        assert exc.value.code == 1
+        assert not (tmp_path / "g").exists()
 
 
 class TestGradcheckCli:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from irnnlab import InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline, make_rng, parse_scheme
-from irnnlab.ndcore import identity, scale
 
 
 class TestScheme:
@@ -37,21 +36,27 @@ class TestInitRecurrent:
         assert np.array_equal(w, np.eye(100))
         # exact identity: every eigenvalue is 1 by construction
         assert np.array_equal(np.diag(w), np.ones(100))
+        assert np.array_equal(init_recurrent(InitScheme("identity"), 1, make_rng(0)), [[1.0]])
 
     def test_scaled_identity_scheme(self):
         w = init_recurrent(InitScheme("iscale", 0.01), 4, make_rng(0))
         assert np.array_equal(w, 0.01 * np.eye(4))
-        assert np.array_equal(w, scale(identity(4), 0.01))
+        assert np.array_equal(init_recurrent(InitScheme("iscale", 1.0), 4, make_rng(0)), np.eye(4))
 
     def test_gaussian_scheme(self):
         w = init_recurrent(InitScheme("gauss", 0.001), 8, make_rng(3))
         assert w.shape == (8, 8)
         assert np.all(np.abs(w) < 0.01)
         assert w.std() > 0
+        big = init_recurrent(InitScheme("gauss", 0.001), 100, make_rng(2))
+        assert abs(big.mean()) < 0.0005
+        assert 0.0005 < big.std() < 0.0015
+        assert np.array_equal(big, init_recurrent(InitScheme("gauss", 0.001), 100, make_rng(2)))
 
     def test_rejects_zero_hidden(self):
-        with pytest.raises(ValueError):
-            init_recurrent(InitScheme("identity"), 0, make_rng(0))
+        for scheme in (InitScheme("identity"), InitScheme("iscale", 0.5), InitScheme("gauss", 0.1)):
+            with pytest.raises(ValueError):
+                init_recurrent(scheme, 0, make_rng(0))
 
 
 class TestInitInputAndBias:
@@ -74,6 +79,11 @@ class TestInitInputAndBias:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             init_input_and_bias(-0.001, 2, 2, make_rng(0))
+
+    @pytest.mark.parametrize("h, d", [(0, 2), (2, 0)])
+    def test_rejects_zero_sizes(self, h, d):
+        with pytest.raises(ValueError):
+            init_input_and_bias(0.001, h, d, make_rng(0))
 
 
 class TestTanhBaseline:

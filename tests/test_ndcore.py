@@ -5,90 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irnnlab import ShapeError, make_rng
-from irnnlab.ndcore import (
-    add,
-    gaussian_fill,
-    hadamard,
-    identity,
-    l2_norm,
-    matvec,
-    outer,
-    scale,
-    scaled_identity,
-    sub,
-    transpose,
-)
-
-
-class TestMatvec:
-    def test_identity_case(self):
-        assert np.array_equal(matvec(identity(2), [3.0, -4.0]), [3.0, -4.0])
-
-    def test_hand_arithmetic(self):
-        assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec([[0.0, 0.0]], [5.0, 6.0]), [0.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3,\)"):
-            matvec(identity(2), [1.0, 2.0, 3.0])
-
-    def test_identity_exact_for_any_vector(self):
-        rng = make_rng(0)
-        for n in (1, 3, 17):
-            v = rng.normal(size=n) * rng.choice([1e-8, 1.0, 1e8], size=n)
-            assert np.array_equal(matvec(identity(n), v), v)
-
-
-class TestIdentity:
-    def test_n1(self):
-        assert np.array_equal(identity(1), [[1.0]])
-
-    def test_trace_and_offdiagonal(self):
-        m = identity(3)
-        assert np.trace(m) == 3.0
-        assert np.sum(m) - np.trace(m) == 0.0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            identity(0)
-
-
-class TestScaledIdentity:
-    def test_small_scale(self):
-        assert np.array_equal(scaled_identity(2, 0.01), [[0.01, 0.0], [0.0, 0.01]])
-
-    def test_scale_one_is_identity(self):
-        assert np.array_equal(scaled_identity(4, 1.0), identity(4))
-
-    def test_scale_zero_is_zero_matrix(self):
-        assert np.array_equal(scaled_identity(3, 0.0), np.zeros((3, 3)))
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(ValueError):
-            scaled_identity(0, 0.5)
-
-
-class TestGaussianFill:
-    def test_zero_std_gives_mean_everywhere(self):
-        m = gaussian_fill(3, 4, 0.25, 0.0, make_rng(1))
-        assert np.array_equal(m, np.full((3, 4), 0.25))
-
-    def test_sample_statistics(self):
-        m = gaussian_fill(100, 100, 0.0, 0.001, make_rng(2))
-        assert abs(m.mean()) < 0.0005
-        assert 0.0005 < m.std() < 0.0015
-
-    def test_same_seed_bitwise_identical(self):
-        a = gaussian_fill(16, 8, 0.0, 0.5, make_rng(7))
-        b = gaussian_fill(16, 8, 0.0, 0.5, make_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            gaussian_fill(2, 2, 0.0, -1.0, make_rng(0))
+from irnnlab import make_rng
+from irnnlab.ndcore import l2_norm
 
 
 class TestL2Norm:
@@ -110,32 +28,4 @@ class TestL2Norm:
     def test_scaling_property(self, c, seed):
         # |c| kept in a range where the squared elements neither under- nor overflow
         v = make_rng(seed).normal(size=13)
-        assert l2_norm([scale(v, c)]) == pytest.approx(abs(c) * l2_norm([v]), rel=1e-12, abs=0.0)
-
-
-class TestElementwise:
-    def test_add_sub_hadamard_values(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[10.0, 20.0], [30.0, 40.0]])
-        assert np.array_equal(add(a, b), a + b)
-        assert np.array_equal(sub(b, a), b - a)
-        assert np.array_equal(hadamard(a, b), a * b)
-
-    @pytest.mark.parametrize("op", [add, sub, hadamard])
-    def test_shape_checks(self, op):
-        with pytest.raises(ShapeError):
-            op(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_outer(self):
-        got = outer([1.0, 2.0], [3.0, 4.0, 5.0])
-        assert np.array_equal(got, [[3.0, 4.0, 5.0], [6.0, 8.0, 10.0]])
-
-    def test_outer_rejects_matrix(self):
-        with pytest.raises(ShapeError):
-            outer(np.zeros((2, 2)), [1.0])
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_transpose_involution_exact(self, seed):
-        m = make_rng(seed).normal(size=(3, 5))
-        assert np.array_equal(transpose(transpose(m)), m)
+        assert l2_norm([v * c]) == pytest.approx(abs(c) * l2_norm([v]), rel=1e-12, abs=0.0)

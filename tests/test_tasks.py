@@ -11,7 +11,6 @@ from irnnlab.tasks import (
     load_permutation,
     prepare_pixel_sequences,
     save_permutation,
-    to_sequence_batch,
 )
 from conftest import write_idx_labels
 
@@ -156,7 +155,7 @@ class TestSequenceConversion:
         img_path, lab_path, images, labels = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
         ds.images[0, 0] = 255  # pixel (0, 0)
-        batch = to_sequence_batch(ds, np.arange(2))
+        batch = prepare_pixel_sequences(ds).batch(np.arange(2))
         assert batch.inputs.shape == (784, 2, 1)
         assert batch.inputs[0, 0, 0] == 1.0
         assert np.array_equal(batch.targets, labels[:2].astype(np.int64))
@@ -164,14 +163,14 @@ class TestSequenceConversion:
     def test_identity_permutation_matches_none(self, synthetic_mnist):
         img_path, lab_path, _, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
-        plain = to_sequence_batch(ds, np.arange(5))
-        ident = to_sequence_batch(ds, np.arange(5), permutation=np.arange(784))
+        plain = prepare_pixel_sequences(ds).batch(np.arange(5))
+        ident = prepare_pixel_sequences(ds, permutation=np.arange(784)).batch(np.arange(5))
         assert np.array_equal(plain.inputs, ident.inputs)
 
     def test_downsample_average_pool_oracle(self, synthetic_mnist):
         img_path, lab_path, images, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
-        batch = to_sequence_batch(ds, np.array([0]), downsample=14)
+        batch = prepare_pixel_sequences(ds, downsample=14).batch(np.array([0]))
         assert batch.inputs.shape == (196, 1, 1)
         img = images[0].astype(float)
         # hand oracle: first pooled value is the mean of the top-left 2x2 block / 255
@@ -185,28 +184,29 @@ class TestSequenceConversion:
         img_path, lab_path, _, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
         with pytest.raises(ValueError):
-            to_sequence_batch(ds, np.arange(2), downsample=5)
+            prepare_pixel_sequences(ds, downsample=5)
 
     def test_label_alignment_survives_permutation_and_pooling(self, synthetic_mnist):
         img_path, lab_path, _, labels = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
         perm = make_permutation(196, seed=11)
-        batch = to_sequence_batch(ds, np.array([3, 1, 4]), permutation=perm, downsample=14)
+        batch = prepare_pixel_sequences(ds, permutation=perm, downsample=14).batch(np.array([3, 1, 4]))
         assert np.array_equal(batch.targets, labels[[3, 1, 4]].astype(np.int64))
 
     def test_prepared_dataset_matches_batch_conversion(self, synthetic_mnist):
-        img_path, lab_path, _, _ = synthetic_mnist
+        img_path, lab_path, images, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
         perm = make_permutation(784, seed=2)
         prepared = prepare_pixel_sequences(ds, permutation=perm)
-        direct = to_sequence_batch(ds, np.arange(4), permutation=perm)
-        assert np.array_equal(prepared.batch(np.arange(4)).inputs, direct.inputs)
+        # hand oracle: scanline pixels / 255, reordered by perm, laid out as (T, B, 1)
+        direct = (images[:4].reshape(4, 784).astype(np.float64) / 255.0)[:, perm].T[:, :, None]
+        assert np.array_equal(prepared.batch(np.arange(4)).inputs, direct)
 
     def test_wrong_length_permutation_rejected(self, synthetic_mnist):
         img_path, lab_path, _, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
         with pytest.raises(ValueError):
-            to_sequence_batch(ds, np.arange(2), permutation=np.arange(100))
+            prepare_pixel_sequences(ds, permutation=np.arange(100))
 
 
 class TestPermutation:
