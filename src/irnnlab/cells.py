@@ -17,7 +17,9 @@ Both start from a zero state. The kernels are feature-major: a state is
 (H, B), one column per lane. A cell's weights are stacked once per call
 into A = [W | V | b] of shape (G*H, H+D+1), G = 1 for the RNN and G = 4
 for the LSTM with gate rows in i|f|o|g order, so a step is one GEMM
-A @ [h_{t-1}; x_t; 1] whose gates are contiguous (H, B) row blocks.
+A @ [h_{t-1}; x_t; 1] whose gates are contiguous (H, B) row blocks. The
+LSTM forward pass negates the i|f|o rows of A, so its GEMM yields -z
+exactly for the three logistic gates.
 
 Tape layout (``CellTape``) for T steps; without a tape the same loop
 writes into 2 reused slots of ``s`` and ``c`` and 1 of ``z`` and ``tc``:
@@ -126,14 +128,15 @@ class CellTape:
     tc: np.ndarray | None = None
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic 1 / (1 + exp(-z)); ``out`` may be ``z`` itself.
+def sigmoid_of_negated(neg_z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid(z) = 1 / (1 + exp(neg_z)) from neg_z = -z; ``out`` may be ``neg_z`` itself.
 
-    exp(-z) overflows to inf for z < -709, which gives the correct limit 0.
+    The LSTM kernel negates the gate rows of its stacked weights, so its GEMM
+    yields -z exactly and the logistic needs no negation pass. exp(neg_z)
+    overflows to inf for z < -709, which gives the correct limit 0.
     """
-    out = np.negative(z, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        out = np.exp(neg_z, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -154,15 +157,20 @@ def _split(p, stacked: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
+def _bounded(a: np.ndarray) -> bool:
+    """Whether every entry lies in [-OVERFLOW_LIMIT, OVERFLOW_LIMIT]; NaN fails both comparisons."""
+    return a.max() <= OVERFLOW_LIMIT and a.min() >= -OVERFLOW_LIMIT
+
+
 def _check_finite(states: list[np.ndarray], first_step: int = 0) -> None:
     """Name the first step at which a (steps, H, B) state is NaN, inf or beyond OVERFLOW_LIMIT.
 
-    One reduction per array covers all steps; the steps are scanned only when it fails.
+    Two reductions per array cover all steps; the steps are scanned only when they fail.
     """
-    if all(np.abs(a).max() <= OVERFLOW_LIMIT for a in states):
+    if all(_bounded(a) for a in states):
         return
     for t in range(states[0].shape[0]):
-        if not all(np.abs(a[t]).max() <= OVERFLOW_LIMIT for a in states):
+        if not all(_bounded(a[t]) for a in states):
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
@@ -179,7 +187,10 @@ def _arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
-    """Validate inputs and allocate the tape (or scratch) arrays; returns (arrays, s slots, z slots)."""
+    """Validate inputs and allocate the tape (or scratch) arrays; returns (arrays, s slots, z slots).
+
+    A tape gets the input rows of all steps in one copy; scratch slots get them step by step.
+    """
     if inputs.ndim != 3 or inputs.shape[2] != p.input_dim or min(inputs.shape) < 1:
         raise ShapeError(f"inputs must have shape (T>=1, B>=1, {p.input_dim}), got {inputs.shape}")
     t_steps, b, _ = inputs.shape
@@ -191,6 +202,8 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     arrays = _arrays(*shapes)
     arrays[0][0, :h] = 0.0
     arrays[0][:, h + p.input_dim] = 1.0
+    if keep:
+        arrays[0][:t_steps, h : h + p.input_dim] = inputs.transpose(0, 2, 1)
     return arrays, ns, nz
 
 
@@ -211,10 +224,10 @@ def rnn_forward(p: RnnParams, inputs: np.ndarray, keep: bool = True) -> tuple[np
     a, activate = _stacked(p), _ACTIVATE[p.activation]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
-            cur = s[t % ns]
-            cur[h : h + d] = inputs[t].T
+            if not keep:
+                s[t % ns, h : h + d] = inputs[t].T
             ht = s[(t + 1) % ns, :h]
-            activate(np.matmul(a, cur, out=z[t % nz]), ht)
+            activate(np.matmul(a, s[t % ns], out=z[t % nz]), ht)
             if not keep:
                 _check_finite([ht[None]], t)
     if keep:
@@ -228,12 +241,13 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
     (s, gates, c, tc), ns, nz = _start(p, inputs, keep)
     c[0] = 0.0
     a = _stacked(p)
+    np.negative(a[: 3 * h], out=a[: 3 * h])  # the GEMM then yields -z for i|f|o
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
-            cur = s[t % ns]
-            cur[h : h + d] = inputs[t].T
-            gt = np.matmul(a, cur, out=gates[t % nz])
-            sigmoid(gt[: 3 * h], out=gt[: 3 * h])
+            if not keep:
+                s[t % ns, h : h + d] = inputs[t].T
+            gt = np.matmul(a, s[t % ns], out=gates[t % nz])
+            sigmoid_of_negated(gt[: 3 * h], out=gt[: 3 * h])
             np.tanh(gt[3 * h :], out=gt[3 * h :])
             i, f, o, g = gt[:h], gt[h : 2 * h], gt[2 * h : 3 * h], gt[3 * h :]
             ct, tct = c[(t + 1) % ns], tc[t % nz]

@@ -287,11 +287,16 @@ def _replay_manifest(args) -> None:
     for name, value in flags.items():
         if not _valid_flag_value(actions[name], value):
             raise ValueError(f"{path}: flag {name!r} has invalid value {value!r}")
+    data_paths, digests = set(flags["data"]), manifest["data_sha256"]
+    for name in sorted(data_paths ^ set(digests)):
+        if name in data_paths:
+            raise ValueError(f"{path}: data file {name!r} has no digest in 'data_sha256'")
+        raise ValueError(f"{path}: 'data_sha256' lists {name!r}, which is not a data file")
     override_out = args.out_dir  # the one flag a replay may override
     vars(args).update(flags)
     if override_out is not None:
         args.out_dir = override_out
-    for data_path, digest in manifest["data_sha256"].items():
+    for data_path, digest in digests.items():
         actual = _sha256(data_path)
         if actual != digest:
             raise ValueError(f"data file {data_path} changed since the manifest (sha256 {actual} != {digest})")

@@ -210,14 +210,6 @@ def _validate_permutation(perm: np.ndarray, n: int, origin="permutation") -> Non
         raise ValueError(f"{origin}: not a bijection on 0..{n - 1}")
 
 
-def _pool_images(images: np.ndarray, side: int, new_side: int) -> np.ndarray:
-    if new_side < 1 or side % new_side != 0:
-        raise ValueError(f"downsample side {new_side} does not divide image side {side}")
-    factor = side // new_side
-    blocks = images.reshape(-1, new_side, factor, new_side, factor)
-    return blocks.mean(axis=(2, 4))
-
-
 @dataclass
 class PixelSequenceDataset:
     """Precomputed pixel sequences for training: floats (N, T) in [0, 1], labels (N,)."""
@@ -242,14 +234,32 @@ def prepare_pixel_sequences(
 
     Downsampling average-pools the raw bytes first; the permutation then
     reorders the flattened pixel sequence identically for every image.
+    Pooling and permuting stay in integers: each block sum is exact in
+    uint32 (at most 255 * 28**2), and one float64 conversion followed by
+    the divisions by factor**2 and 255 rounds exactly as the float mean
+    would, so no float array larger than the result is built.
     """
-    imgs = ds.images.astype(np.float64).reshape(-1, ds.side, ds.side)
-    side = ds.side
-    if downsample is not None and downsample != ds.side:
-        imgs = _pool_images(imgs, ds.side, downsample)
-        side = downsample
-    flat = imgs.reshape(-1, side * side) / 255.0
+    side = ds.side if downsample is None else downsample
+    if side < 1 or ds.side % side != 0:
+        raise ValueError(f"downsample side {side} does not divide image side {ds.side}")
+    factor = ds.side // side
+    pixels = ds.images
+    if factor > 1:
+        # strided views add up the block's rows, then its columns: 2*factor passes
+        imgs = ds.images.reshape(-1, ds.side, ds.side)
+        rows = imgs[:, ::factor].astype(np.uint32)
+        for i in range(1, factor):
+            rows += imgs[:, i::factor]
+        pixels = rows[:, :, ::factor].copy()
+        for j in range(1, factor):
+            pixels += rows[:, :, j::factor]
+        del rows
+        pixels = pixels.reshape(-1, side * side)
     if permutation is not None:
         _validate_permutation(np.asarray(permutation), side * side)
-        flat = flat[:, permutation]
-    return PixelSequenceDataset(floats=flat, labels=ds.labels.astype(np.int64))
+        pixels = np.take(pixels, permutation, axis=1)
+    floats = pixels.astype(np.float64)
+    if factor > 1:
+        floats /= factor * factor
+    floats /= 255.0
+    return PixelSequenceDataset(floats=floats, labels=ds.labels.astype(np.int64))

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from irnnlab import LstmParams, RnnParams, ShapeError, make_rng
-from irnnlab.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward, sigmoid
+from irnnlab import DivergenceError, LstmParams, RnnParams, ShapeError, make_rng
+from irnnlab.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward, sigmoid_of_negated
 
 
 def relu_cell(h, d=1, W=None, V=None, b=None, activation="relu"):
@@ -266,21 +266,48 @@ class TestLstmBackstep:
             lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 2)))
 
 
+class TestFiniteCheck:
+    # h_t = x_t exactly, so step 3 of the input sets the state the check sees
+    LIMIT = 1e100
+
+    @staticmethod
+    def run(value, keep):
+        inputs = np.zeros((6, 1, 1))
+        inputs[3] = value
+        return rnn_forward(relu_cell(1, W=[[0.0]], V=[[1.0]], activation="linear"), inputs, keep=keep)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT])
+    def test_limit_passes(self, keep, value):
+        _, tape = self.run(value, keep)
+        if keep:
+            assert tape.s[4, 0, 0] == value
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    @pytest.mark.parametrize("value", [np.nextafter(LIMIT, np.inf), -np.nextafter(LIMIT, np.inf),
+                                       np.inf, -np.inf, np.nan],
+                             ids=["above", "below", "inf", "-inf", "nan"])
+    def test_beyond_limit_names_step(self, keep, value):
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            self.run(value, keep)
+
+
 class TestSigmoid:
+    # sigmoid_of_negated takes -z, as the LSTM kernel's GEMM yields it
     def test_extremes_are_stable(self):
         z = np.array([-800.0, -20.0, 0.0, 20.0, 800.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = sigmoid(z)
+            s = sigmoid_of_negated(-z)
         assert np.all(np.isfinite(s))
         assert s[0] == 0.0 and s[-1] == 1.0
         assert s[2] == 0.5
 
     def test_in_place(self):
-        z = np.array([-1.0, 0.0, 2.0])
-        expected = sigmoid(z.copy())
-        out = sigmoid(z, out=z)
-        assert out is z and np.array_equal(z, expected)
+        neg_z = -np.array([-1.0, 0.0, 2.0])
+        expected = sigmoid_of_negated(neg_z.copy())
+        out = sigmoid_of_negated(neg_z, out=neg_z)
+        assert out is neg_z and np.array_equal(neg_z, expected)
 
     def test_matches_reference_forms(self):
         # reference: exp(z)/(1+exp(z)) for z < 0 and 1/(1+exp(-z)) for z >= 0.
@@ -290,7 +317,7 @@ class TestSigmoid:
         neg = np.minimum(z, 0.0)
         with np.errstate(under="ignore"):
             ref = np.where(z < 0, np.exp(neg) / (1.0 + np.exp(neg)), 1.0 / (1.0 + np.exp(-np.maximum(z, 0.0))))
-        s = sigmoid(z)
+        s = sigmoid_of_negated(-z)
         tiny = np.finfo(np.float64).tiny
         normal = ref >= tiny
         assert normal[-4:].all()

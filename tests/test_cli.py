@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,13 @@ def run_cli(*args):
 
 def _drop(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
+
+
+def _with_extra_digest(manifest):
+    """The manifest plus a correct digest for a file that is not one of its data files."""
+    extra = Path(manifest["flags"]["out_dir"]) / "metrics.csv"
+    digest = hashlib.sha256(extra.read_bytes()).hexdigest()
+    return {**manifest, "data_sha256": {**manifest["data_sha256"], str(extra): digest}}
 
 
 @pytest.fixture
@@ -122,8 +131,12 @@ class TestTrain:
         (lambda m: {**m, "flags": {**m["flags"], "steps": "3"}}, "'steps'"),
         (lambda m: {**m, "flags": {**m["flags"], "task": "speech"}}, "'task'"),
         (lambda m: {**m, "flags": {**m["flags"], "lr": None}}, "'lr'"),
+        (lambda m: {**m, "data_sha256": {}}, "test.addp'"),
+        (lambda m: {**m, "data_sha256": {k: v for k, v in m["data_sha256"].items()
+                                         if not k.endswith("train.addp")}}, "train.addp'"),
+        (_with_extra_digest, "metrics.csv'"),
     ], ids=["array", "no-flags", "no-data-sha256", "missing-flag", "unknown-flag", "hidden-str",
-            "steps-str", "task-choice", "lr-null"])
+            "steps-str", "task-choice", "lr-null", "digests-empty", "digest-dropped", "digest-extra"])
     def test_malformed_manifest_exits_2_naming_field(self, adding_files, tmp_path, capsys, mutate, field):
         train_file, test_file = adding_files
         out = tmp_path / "run"

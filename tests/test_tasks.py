@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from irnnlab.tasks import (
     ANALYTIC_CONSTANT_BASELINE_MSE,
     REPORTED_CONSTANT_BASELINE_MSE,
     DataFormatError,
+    MnistSeqDataset,
     load_permutation,
     prepare_pixel_sequences,
     save_permutation,
@@ -207,6 +209,44 @@ class TestSequenceConversion:
         ds = load_mnist(img_path, lab_path)
         with pytest.raises(ValueError):
             prepare_pixel_sequences(ds, permutation=np.arange(100))
+
+    @staticmethod
+    def random_bytes(n, seed=0):
+        images = np.random.default_rng(seed).integers(0, 256, size=(n, 784), dtype=np.uint8)
+        return MnistSeqDataset(images=images, labels=np.arange(n) % 10, side=28)
+
+    @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
+    @pytest.mark.parametrize("side", [None, 28, 14, 7, 4, 2, 1])
+    def test_floats_match_float64_block_mean(self, side, permute):
+        # reference: the float64 formula, block mean, / 255.0, then permute;
+        # side 4 pools blocks of 49, not a power of two
+        ds = self.random_bytes(50)
+        s = 28 if side is None else side
+        perm = make_permutation(s * s, seed=s) if permute else None
+        factor = 28 // s
+        ref = ds.images.astype(np.float64).reshape(-1, s, factor, s, factor)
+        ref = (ref.mean(axis=(2, 4)) if factor > 1 else ref).reshape(-1, s * s) / 255.0
+        if permute:
+            ref = ref[:, perm]
+        floats = prepare_pixel_sequences(ds, permutation=perm, downsample=side).floats
+        assert floats.dtype == np.float64 and floats.shape == ref.shape
+        assert floats.tobytes() == ref.tobytes()
+
+    def test_all_white_pooled_to_one_pixel_is_exactly_one(self):
+        # the block sum 255 * 784 = 199,920 would overflow a uint16 accumulator
+        ds = MnistSeqDataset(images=np.full((3, 784), 255, dtype=np.uint8), labels=np.zeros(3), side=28)
+        assert np.array_equal(prepare_pixel_sequences(ds, downsample=1).floats, np.ones((3, 1)))
+
+    def test_pooling_builds_no_full_resolution_float_array(self):
+        n = 2000
+        ds = self.random_bytes(n)
+        tracemalloc.start()
+        try:
+            prepare_pixel_sequences(ds, permutation=make_permutation(196, seed=1), downsample=14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 784 * 8
 
 
 class TestPermutation:
