@@ -6,6 +6,17 @@ minibatches are drawn without replacement, reshuffling each epoch. Every
 ``eval_every`` updates (and at the final step) the full test set is scored
 and one metrics row is emitted.
 
+Evaluation scores the test set in chunks of ``EVAL_CHUNK`` sequences on
+the cores that BLAS leaves idle (``eval_threads``): the calling thread and
+k-1 helper threads each take the next unscored chunk until none is left,
+so a thread slowed by other load takes fewer. Numpy releases the
+interpreter lock inside GEMM and ufunc loops, and chunks share nothing.
+Chunk results are summed in chunk order, so the loss and metric are
+bit-identical for every thread count, and a failing chunk raises the
+error of the lowest failing chunk, as a serial loop would. The helpers
+are joined before ``evaluate`` returns, so ``grid_search`` never forks a
+process that has threads.
+
 Metrics CSV contract: header ``step,train_loss,test_loss,task_metric,
 grad_norm,wallclock_s``, one row per eval point, ``.`` decimal separator,
 LF line endings. All columns except wallclock_s are bit-reproducible; the
@@ -22,6 +33,9 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
+import re
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -107,24 +121,85 @@ def enumerate_cells(grid: GridSpec, cell_kind: str) -> list[tuple[float, float, 
     return cells
 
 
+# OpenBLAS takes its thread count at start-up from the first of these that
+# holds a positive integer (read as C's atoi reads it); with none, it uses
+# every core.
+OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return ""
+
+
+def eval_threads() -> int:
+    """Threads ``evaluate`` scores chunks on: the usable cores per BLAS thread.
+
+    When numpy's BLAS is not OpenBLAS, or no variable sets its thread
+    count, BLAS already runs on every core and evaluation stays serial.
+    """
+    if "openblas" not in _blas_name().lower():
+        return 1
+    for var in OPENBLAS_THREAD_VARS:
+        match = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+        if match and int(match.group(1)) > 0:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            return max(1, cores // int(match.group(1)))
+    return 1
+
+
 def evaluate(
     spec: ModelSpec, params: CellParams, head: HeadParams, test_ds, chunk: int = EVAL_CHUNK
 ) -> tuple[float, float]:
     """Mean loss over the full test set plus the task metric (RMSE or accuracy).
 
-    Chunked so long sequences never materialize a full-dataset tape.
+    Chunked so long sequences never materialize a full-dataset tape; the
+    chunks are scored on ``eval_threads()`` threads and summed in chunk
+    order (see the module docstring).
     """
     n = len(test_ds)
+    starts = range(0, n, chunk)
+    scores: list = [None] * len(starts)  # (loss * lanes, hits) or the chunk's exception
+    unscored = iter(range(len(starts)))
+    take = threading.Lock()
+
+    def score() -> None:
+        while True:
+            with take:
+                i = next(unscored, None)
+            if i is None:
+                return
+            try:
+                idx = np.arange(starts[i], min(starts[i] + chunk, n))
+                batch = test_ds.batch(idx)
+                h_last, _ = _rollout(spec, params, batch.inputs, keep=False)
+                predictions = head_outputs(spec, head, h_last)
+                loss = head_loss(spec, predictions, batch.targets) * len(idx)
+                hits = 0
+                if spec.head == "softmax":
+                    hits = int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
+                scores[i] = (loss, hits)
+            except Exception as exc:  # raised in chunk order below; chunks not yet taken are not summed
+                scores[i] = exc
+                return
+
+    helpers = [threading.Thread(target=score) for _ in range(1, min(eval_threads(), len(starts)))]
+    for helper in helpers:
+        helper.start()
+    try:
+        score()
+    finally:
+        for helper in helpers:
+            helper.join()
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        batch = test_ds.batch(idx)
-        h_last, _ = _rollout(spec, params, batch.inputs, keep=False)
-        predictions = head_outputs(spec, head, h_last)
-        loss_sum += head_loss(spec, predictions, batch.targets) * len(idx)
-        if spec.head == "softmax":
-            correct += int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
+    for result in scores:
+        if isinstance(result, Exception):
+            raise result
+        loss_sum += result[0]
+        correct += result[1]
     loss = loss_sum / n
     metric = math.sqrt(loss) if spec.head == "regression" else correct / n
     return loss, metric

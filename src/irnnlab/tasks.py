@@ -20,6 +20,7 @@ runs. Training and evaluation slice their minibatches from that one set.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,9 @@ IDX_LABEL_MAGIC = 0x00000801
 # analytic value for the sum of two independent U[0,1] draws is 1/6.
 REPORTED_CONSTANT_BASELINE_MSE = 0.1767
 ANALYTIC_CONSTANT_BASELINE_MSE = 1.0 / 6.0
+
+# Examples per block when writing ADDP files, so no whole-file copy is built.
+_IO_ROWS = 1024
 
 
 class DataFormatError(ValueError):
@@ -61,9 +65,10 @@ class AddingDataset:
     def batch(self, indices) -> SequenceBatch:
         """Inputs of shape (T, B, 2) with channels (signal, mask)."""
         sig = self.signal[indices]
-        msk = self.mask[indices]
-        inputs = np.stack((sig, msk), axis=-1).transpose(1, 0, 2)
-        return SequenceBatch(inputs=np.ascontiguousarray(inputs), targets=self.target[indices])
+        inputs = np.empty((sig.shape[1], sig.shape[0], 2))
+        inputs[:, :, 0] = sig.T
+        inputs[:, :, 1] = self.mask[indices].T
+        return SequenceBatch(inputs=inputs, targets=self.target[indices])
 
 
 def gen_adding(t_steps: int, n: int, rng: Rng) -> AddingDataset:
@@ -94,35 +99,39 @@ def baseline_mse(ds: AddingDataset) -> float:
 
 
 def save_adding(ds: AddingDataset, path) -> None:
-    """Write the ADDP0001 flat binary."""
+    """Write the ADDP0001 flat binary, ``_IO_ROWS`` examples at a time."""
     n, t_steps = ds.signal.shape
-    rows = np.concatenate(
-        (ds.signal, ds.mask, ds.target[:, None]), axis=1
-    ).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(ADDING_MAGIC)
         fh.write(struct.pack("<qq", t_steps, n))
-        fh.write(rows.tobytes())
+        for start in range(0, n, _IO_ROWS):
+            part = slice(start, start + _IO_ROWS)
+            rows = np.concatenate((ds.signal[part], ds.mask[part], ds.target[part, None]), axis=1)
+            fh.write(rows.astype("<f8", copy=False))
 
 
 def load_adding(path) -> AddingDataset:
-    """Read an ADDP0001 file back bit-identically."""
+    """Read an ADDP0001 file back bit-identically.
+
+    The examples are read straight into one (n, 2T+1) array, of which the
+    signal, mask and target are column views, so the file is held once.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 24 or data[:8] != ADDING_MAGIC:
-        raise DataFormatError(f"{path}: bad magic at offset 0 (expected {ADDING_MAGIC!r})")
-    t_steps, n = struct.unpack_from("<qq", data, 8)
-    if t_steps < 2 or n < 1:
-        raise DataFormatError(f"{path}: invalid header T={t_steps}, n={n} at offset 8")
-    expected = 24 + 8 * n * (2 * t_steps + 1)
-    if len(data) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(data)} (truncated at offset {len(data)})")
-    rows = np.frombuffer(data, dtype="<f8", offset=24).astype(np.float64).reshape(n, 2 * t_steps + 1)
-    return AddingDataset(
-        signal=rows[:, :t_steps].copy(),
-        mask=rows[:, t_steps : 2 * t_steps].copy(),
-        target=rows[:, -1].copy(),
-    )
+        header = fh.read(24)
+        if len(header) < 24 or header[:8] != ADDING_MAGIC:
+            raise DataFormatError(f"{path}: bad magic at offset 0 (expected {ADDING_MAGIC!r})")
+        t_steps, n = struct.unpack_from("<qq", header, 8)
+        if t_steps < 2 or n < 1:
+            raise DataFormatError(f"{path}: invalid header T={t_steps}, n={n} at offset 8")
+        expected = 24 + 8 * n * (2 * t_steps + 1)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise DataFormatError(f"{path}: expected {expected} bytes, found {size} (truncated at offset {size})")
+        rows = np.empty((n, 2 * t_steps + 1), dtype="<f8")
+        got = 24 + fh.readinto(rows)
+        if got != expected:
+            raise DataFormatError(f"{path}: expected {expected} bytes, found {got} (truncated at offset {got})")
+    return AddingDataset(signal=rows[:, :t_steps], mask=rows[:, t_steps : 2 * t_steps], target=rows[:, -1])
 
 
 @dataclass

@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +23,10 @@ from irnnlab import (
     param_blocks,
     train,
 )
+from irnnlab import harness
 from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells
+from irnnlab.ndcore import DivergenceError
+from irnnlab.tasks import PixelSequenceDataset
 
 ADDING_SPEC = ModelSpec(cell="rnn", hidden=12, input_dim=2, head="regression",
                         activation="relu", init=InitScheme("identity"))
@@ -27,6 +34,71 @@ ADDING_SPEC = ModelSpec(cell="rnn", hidden=12, input_dim=2, head="regression",
 
 def fixed_timer():
     return 0.0
+
+
+@pytest.fixture
+def force_eval_threads(monkeypatch):
+    """``force(k)`` makes ``eval_threads()`` return k on any host: OpenBLAS at one thread on k cores."""
+
+    def force(k):
+        monkeypatch.setattr(harness, "_blas_name", lambda: "scipy-openblas")
+        for var in harness.OPENBLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        assert harness.eval_threads() == k
+
+    return force
+
+
+class ThreadSpy:
+    """A dataset wrapper whose first batch on each thread waits until ``threads`` threads
+    have each taken a chunk, so the test fails (after the timeout) unless they run concurrently."""
+
+    def __init__(self, ds, threads):
+        self.ds = ds
+        self.barrier = threading.Barrier(threads, timeout=20)
+        self.threads = set()
+
+    def __len__(self):
+        return len(self.ds)
+
+    def batch(self, idx):
+        if threading.get_ident() not in self.threads:
+            self.threads.add(threading.get_ident())
+            self.barrier.wait()
+        return self.ds.batch(idx)
+
+
+class SlowChunk:
+    """A dataset wrapper that delays the batch holding sequence ``index``, so later chunks finish first."""
+
+    def __init__(self, ds, index):
+        self.ds = ds
+        self.index = index
+
+    def __len__(self):
+        return len(self.ds)
+
+    def batch(self, idx):
+        if self.index in idx:
+            time.sleep(0.2)
+        return self.ds.batch(idx)
+
+
+def multi_chunk_case(cell, head):
+    """A model and a 2500-sequence test set: chunks of 1000, 1000 and 500."""
+    rng = make_rng(41)
+    if head == "regression":
+        spec = ModelSpec(cell=cell, hidden=10, input_dim=2, head="regression", activation="relu",
+                         init=InitScheme("gauss", 0.5) if cell == "rnn" else None, input_init_std=0.5)
+        ds = gen_adding(8, 2500, rng)
+    else:
+        spec = ModelSpec(cell=cell, hidden=10, input_dim=1, head="softmax", classes=4, activation="tanh",
+                         init=InitScheme("gauss", 0.5) if cell == "rnn" else None, input_init_std=0.5)
+        ds = PixelSequenceDataset(floats=rng.uniform(size=(2500, 9)), labels=rng.integers(0, 4, size=2500))
+    params, head_params = init_params(spec, rng)
+    return spec, params, head_params, ds
 
 
 class TestEvaluate:
@@ -78,6 +150,89 @@ class TestEvaluate:
         a = evaluate(ADDING_SPEC, params, head, test_ds, chunk=128)
         b = evaluate(ADDING_SPEC, params, head, test_ds, chunk=37)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
+
+    @pytest.mark.parametrize("head", ["regression", "softmax"])
+    @pytest.mark.parametrize("cell", ["rnn", "lstm"])
+    def test_thread_count_does_not_change_result(self, cell, head, force_eval_threads):
+        spec, params, head_params, ds = multi_chunk_case(cell, head)
+        results = {}
+        for k in (1, 2, 3):
+            force_eval_threads(k)
+            spy = ThreadSpy(ds, k)
+            results[k] = evaluate(spec, params, head_params, spy, chunk=1000)
+            assert len(spy.threads) == k  # the caller plus k-1 helpers each scored a chunk
+        assert results[2] == results[1] and results[3] == results[1]
+
+    def test_more_threads_than_cores_under_fast_switching(self, force_eval_threads):
+        # 8 threads share 250 chunk slots while the interpreter switches every microsecond;
+        # a lost or misplaced chunk result would change the sum
+        spec, params, head, ds = multi_chunk_case("rnn", "regression")
+        force_eval_threads(1)
+        serial = evaluate(spec, params, head, ds, chunk=10)
+        force_eval_threads(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate(spec, params, head, ds, chunk=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_divergence_names_lowest_failing_chunk(self, threads, force_eval_threads):
+        # chunk 1 fails at step 5, chunk 2 at step 3; chunk 1 is delayed, so with 2 or 3
+        # threads chunk 2 fails first on another thread, but the serial loop stops at
+        # chunk 1, so step 5 is reported
+        ds = gen_adding(8, 2500, make_rng(42))
+        ds.signal[1500, 5] = np.nan
+        ds.signal[2100, 3] = np.nan
+        params, head = init_params(ADDING_SPEC, make_rng(43))
+        force_eval_threads(threads)
+        with pytest.raises(DivergenceError, match=r"at step 5$"):
+            evaluate(ADDING_SPEC, params, head, SlowChunk(ds, 1500), chunk=1000)
+
+    def test_helper_threads_are_joined(self, force_eval_threads):
+        # grid_search forks after evaluate has run, so no helper may outlive it
+        spec, params, head, ds = multi_chunk_case("rnn", "regression")
+        force_eval_threads(3)
+        before = threading.active_count()
+        evaluate(spec, params, head, ds, chunk=1000)
+        assert threading.active_count() == before
+        ds.signal[1500, 5] = np.nan
+        with pytest.raises(DivergenceError):
+            evaluate(spec, params, head, ds, chunk=1000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "env,cores,blas,expected",
+        [
+            ({}, 2, "scipy-openblas", 1),  # unset: OpenBLAS already runs on every core
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 3, "scipy-openblas", 3),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 5, "openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": " 1"}, 2, "scipy-openblas", 2),  # atoi skips blanks
+            ({"OPENBLAS_NUM_THREADS": "abc"}, 2, "scipy-openblas", 1),  # atoi gives 0: unset
+            ({"OPENBLAS_NUM_THREADS": "0"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "-1"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 1),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, "scipy-openblas", 2),
+            ({"OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, "accelerate", 1),  # not OpenBLAS: serial
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, "", 1),  # BLAS unknown: serial
+        ],
+    )
+    def test_thread_count_rule(self, env, cores, blas, expected, monkeypatch):
+        monkeypatch.setattr(harness, "_blas_name", lambda: blas)
+        for var in harness.OPENBLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert harness.eval_threads() == expected
 
 
 class TestTrain:
@@ -166,6 +321,17 @@ class TestTrain:
         cfg = TrainConfig(lr=0.01, clip=1.0, max_steps=4, eval_every=100, batch_size=16, seed=9)
         train(spec, cfg, Spy(), ds)
         assert sorted(seen) == list(range(64))  # exactly one full epoch, no repeats
+
+
+    @pytest.mark.parametrize("cell", ["rnn", "lstm"])
+    def test_threaded_metrics_csv_matches_serial(self, cell, tiny_adding, tmp_path, force_eval_threads):
+        train_ds, _ = tiny_adding
+        spec, _, _, test_ds = multi_chunk_case(cell, "regression")
+        cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=20, eval_every=10, seed=12)
+        for k in (1, 2):
+            force_eval_threads(k)
+            train(spec, cfg, train_ds, test_ds, metrics_path=tmp_path / f"{k}.csv", timer=fixed_timer)
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 class TestGridSearch:

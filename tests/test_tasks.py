@@ -69,6 +69,20 @@ class TestGenAdding:
         assert np.array_equal(batch.inputs[:, 0, 1], ds.mask[0])
         assert np.array_equal(batch.targets, ds.target[:4])
 
+    @pytest.mark.parametrize("size", [1, 16, 1000])
+    def test_batch_matches_stacked_formula(self, size, tmp_path):
+        # reference: stack the channels last, move time first, copy contiguous;
+        # checked on generated data and on a loaded file, repeats included
+        ds = gen_adding(11, 1500, make_rng(9))
+        save_adding(ds, tmp_path / "data.addp")
+        idx = make_rng(10).integers(0, 1500, size=size)
+        for source in (ds, load_adding(tmp_path / "data.addp")):
+            batch = source.batch(idx)
+            ref = np.ascontiguousarray(np.stack((ds.signal[idx], ds.mask[idx]), axis=-1).transpose(1, 0, 2))
+            assert batch.inputs.dtype == np.float64 and batch.inputs.flags.c_contiguous
+            assert batch.inputs.shape == ref.shape and batch.inputs.tobytes() == ref.tobytes()
+            assert batch.targets.tobytes() == ds.target[idx].tobytes()
+
 
 class TestBaselineMse:
     def test_single_perfect_example(self):
@@ -103,6 +117,31 @@ class TestAddingFiles:
         assert raw[:8] == b"ADDP0001"
         assert struct.unpack_from("<qq", raw, 8) == (4, 3)
         assert len(raw) == 24 + 8 * 3 * (2 * 4 + 1)
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_file_bytes_match_whole_array_formula(self, n, tmp_path):
+        # reference: header, then the (n, 2T+1) concatenation as little-endian doubles;
+        # the writer goes in blocks of 1024 examples
+        ds = gen_adding(5, n, make_rng(n))
+        path = tmp_path / "data.addp"
+        save_adding(ds, path)
+        rows = np.concatenate((ds.signal, ds.mask, ds.target[:, None]), axis=1).astype("<f8")
+        assert path.read_bytes() == b"ADDP0001" + struct.pack("<qq", 5, n) + rows.tobytes()
+
+    def test_save_and_load_hold_the_file_at_most_twice(self, tmp_path):
+        # writing builds a block at a time and reading fills one array in place
+        # (about 1x the file); a whole-file copy per step would reach 3x
+        ds = gen_adding(150, 3000, make_rng(8))
+        path = tmp_path / "data.addp"
+        tracemalloc.start()
+        try:
+            save_adding(ds, path)
+            back = load_adding(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.signal, ds.signal)
+        assert peak < 2 * path.stat().st_size
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "data.addp"
