@@ -13,9 +13,10 @@ so a thread slowed by other load takes fewer. Numpy releases the
 interpreter lock inside GEMM and ufunc loops, and chunks share nothing.
 Chunk results are summed in chunk order, so the loss and metric are
 bit-identical for every thread count, and a failing chunk raises the
-error of the lowest failing chunk, as a serial loop would. The helpers
-are joined before ``evaluate`` returns, so ``grid_search`` never forks a
-process that has threads.
+error of the lowest failing chunk, as a serial loop would; after a
+failure no further chunk is handed out. The helpers are joined before
+``evaluate`` returns, so ``grid_search`` never forks a process that has
+threads, and its forked workers split the idle cores between them.
 
 Metrics CSV contract: header ``step,train_loss,test_loss,task_metric,
 grad_norm,wallclock_s``, one row per eval point, ``.`` decimal separator,
@@ -59,6 +60,11 @@ from .network import (
 from .optim import TrainConfig, clip_gradients, sgd_step
 
 EVAL_CHUNK = 1000
+
+# Grid-search worker state; populated in the parent before forking so cells
+# inherit the datasets without per-task pickling. ``processes`` is the number
+# of forked workers sharing the cores.
+_WORKER_CTX: dict = {}
 
 METRICS_HEADER = "step,train_loss,test_loss,task_metric,grad_norm,wallclock_s"
 
@@ -134,20 +140,34 @@ def _blas_name() -> str:
         return ""
 
 
+def openblas_threads(environ=os.environ) -> int:
+    """OpenBLAS's thread count as set in ``environ``; 0 when BLAS runs on every
+    core, because no variable sets the count or numpy's BLAS is not OpenBLAS."""
+    if "openblas" not in _blas_name().lower():
+        return 0
+    for var in OPENBLAS_THREAD_VARS:
+        match = re.match(r"\s*\+?(\d+)", environ.get(var, ""))
+        if match and int(match.group(1)) > 0:
+            return int(match.group(1))
+    return 0
+
+
+# Read once, next to numpy's own start-up: OpenBLAS keeps the count it read
+# when numpy loaded it, whatever the environment says later.
+BLAS_THREADS = openblas_threads()
+
+
 def eval_threads() -> int:
     """Threads ``evaluate`` scores chunks on: the usable cores per BLAS thread.
 
-    When numpy's BLAS is not OpenBLAS, or no variable sets its thread
-    count, BLAS already runs on every core and evaluation stays serial.
+    Inside a forked ``grid_search`` worker the cores are shared with the
+    sibling workers, so each gets its part. With BLAS on every core,
+    evaluation stays serial.
     """
-    if "openblas" not in _blas_name().lower():
+    if not BLAS_THREADS:
         return 1
-    for var in OPENBLAS_THREAD_VARS:
-        match = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
-        if match and int(match.group(1)) > 0:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            return max(1, cores // int(match.group(1)))
-    return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cores // (BLAS_THREADS * _WORKER_CTX.get("processes", 1)))
 
 
 def evaluate(
@@ -164,11 +184,13 @@ def evaluate(
     scores: list = [None] * len(starts)  # (loss * lanes, hits) or the chunk's exception
     unscored = iter(range(len(starts)))
     take = threading.Lock()
+    failed = False  # set under ``take``: chunks after a failure are never summed, so none is handed out
 
     def score() -> None:
+        nonlocal failed
         while True:
             with take:
-                i = next(unscored, None)
+                i = None if failed else next(unscored, None)
             if i is None:
                 return
             try:
@@ -181,8 +203,10 @@ def evaluate(
                 if spec.head == "softmax":
                     hits = int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
                 scores[i] = (loss, hits)
-            except Exception as exc:  # raised in chunk order below; chunks not yet taken are not summed
+            except Exception as exc:  # raised in chunk order below
                 scores[i] = exc
+                with take:
+                    failed = True
                 return
 
     helpers = [threading.Thread(target=score) for _ in range(1, min(eval_threads(), len(starts)))]
@@ -272,11 +296,6 @@ def train(
     return result
 
 
-# Grid-search worker state; populated in the parent before forking so cells
-# inherit the datasets without per-task pickling.
-_WORKER_CTX: dict = {}
-
-
 def _run_cell(cell_index: int) -> dict:
     ctx = _WORKER_CTX
     spec: ModelSpec = ctx["spec"]
@@ -343,6 +362,7 @@ def grid_search(
     try:
         if workers > 1:
             ctx = multiprocessing.get_context("fork")
+            _WORKER_CTX["processes"] = min(workers, len(cells))
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 rows = list(pool.map(_run_cell, range(len(cells))))
         else:

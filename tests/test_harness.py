@@ -41,10 +41,7 @@ def force_eval_threads(monkeypatch):
     """``force(k)`` makes ``eval_threads()`` return k on any host: OpenBLAS at one thread on k cores."""
 
     def force(k):
-        monkeypatch.setattr(harness, "_blas_name", lambda: "scipy-openblas")
-        for var in harness.OPENBLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(harness, "BLAS_THREADS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         assert harness.eval_threads() == k
 
@@ -68,6 +65,45 @@ class ThreadSpy:
             self.threads.add(threading.get_ident())
             self.barrier.wait()
         return self.ds.batch(idx)
+
+
+class ChunkLog:
+    """A dataset wrapper that records the first sequence of every batch taken and
+    delays each batch without sequence 0, so the chunk-0 thread finishes first."""
+
+    def __init__(self, ds):
+        self.ds = ds
+        self.taken = []
+
+    def __len__(self):
+        return len(self.ds)
+
+    def batch(self, idx):
+        self.taken.append(int(idx[0]))
+        if idx[0] != 0:
+            time.sleep(0.5)
+        return self.ds.batch(idx)
+
+
+class ThreadLog:
+    """Stands in for the ``threading`` module inside ``harness``: each thread
+    started is recorded as a file named after the starting process's id."""
+
+    Lock = threading.Lock
+
+    def __init__(self, directory):
+        log_dir = directory
+
+        class Thread(threading.Thread):
+            def start(self):
+                (log_dir / f"{os.getpid()}-{id(self)}").touch()
+                super().start()
+
+        self.Thread = Thread
+        self.dir = directory
+
+    def starters(self):
+        return [int(f.name.split("-")[0]) for f in self.dir.iterdir()]
 
 
 class SlowChunk:
@@ -191,6 +227,19 @@ class TestEvaluate:
         with pytest.raises(DivergenceError, match=r"at step 5$"):
             evaluate(ADDING_SPEC, params, head, SlowChunk(ds, 1500), chunk=1000)
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_chunk_handed_out_after_failure(self, threads, force_eval_threads):
+        # chunk 0 fails at once while the other threads score their first chunk; none of
+        # the chunks after it can be summed, so no thread may take another one
+        ds = gen_adding(8, 10_000, make_rng(44))
+        ds.signal[0, 1] = np.nan
+        params, head = init_params(ADDING_SPEC, make_rng(45))
+        force_eval_threads(threads)
+        log = ChunkLog(ds)
+        with pytest.raises(DivergenceError, match=r"at step 1$"):
+            evaluate(ADDING_SPEC, params, head, log, chunk=1000)
+        assert sorted(log.taken) == [1000 * i for i in range(threads)]
+
     def test_helper_threads_are_joined(self, force_eval_threads):
         # grid_search forks after evaluate has run, so no helper may outlive it
         spec, params, head, ds = multi_chunk_case("rnn", "regression")
@@ -227,10 +276,28 @@ class TestEvaluate:
     )
     def test_thread_count_rule(self, env, cores, blas, expected, monkeypatch):
         monkeypatch.setattr(harness, "_blas_name", lambda: blas)
+        monkeypatch.setattr(harness, "BLAS_THREADS", harness.openblas_threads(env))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert harness.eval_threads() == expected
+
+    @pytest.mark.parametrize("blas_threads,env,expected", [(0, "1", 1), (1, None, 2)])
+    def test_environment_is_read_once(self, blas_threads, env, expected, monkeypatch):
+        # OpenBLAS keeps the count it read when numpy loaded it; a later change does not count
+        monkeypatch.setattr(harness, "BLAS_THREADS", blas_threads)
         for var in harness.OPENBLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+        if env is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+        assert harness.eval_threads() == expected
+
+    @pytest.mark.parametrize(
+        "cores,blas_threads,processes,expected",
+        [(2, 1, 2, 1), (4, 1, 2, 2), (8, 2, 2, 2), (8, 1, 3, 2), (2, 1, 4, 1), (4, 0, 2, 1)],
+    )
+    def test_grid_workers_split_cores(self, cores, blas_threads, processes, expected, monkeypatch):
+        monkeypatch.setattr(harness, "BLAS_THREADS", blas_threads)
+        monkeypatch.setitem(harness._WORKER_CTX, "processes", processes)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         assert harness.eval_threads() == expected
 
@@ -380,6 +447,29 @@ class TestGridSearch:
         grid = GridSpec(lrs=(0.05,), clips=(1.0,), forget_biases=(1.0, 4.0))
         rows = grid_search(spec, grid, budget, train_ds, test_ds, tmp_path)
         assert sorted(r["fb"] for r in rows) == [1.0, 4.0]
+
+    @pytest.mark.parametrize("cores,workers,helpers_in", [(2, 1, "parent"), (2, 2, "none"), (4, 2, "workers")])
+    def test_forked_workers_split_idle_cores(self, cores, workers, helpers_in, tiny_adding, tmp_path,
+                                             force_eval_threads, monkeypatch):
+        # two workers on two cores at one BLAS thread each would double the compute
+        # threads if each also scored chunks on a helper
+        train_ds, _ = tiny_adding
+        _, _, _, test_ds = multi_chunk_case("rnn", "regression")
+        force_eval_threads(cores)
+        (tmp_path / "threads").mkdir()
+        log = ThreadLog(tmp_path / "threads")
+        monkeypatch.setattr(harness, "threading", log)
+        budget = TrainConfig(lr=1.0, clip=1.0, max_steps=10, eval_every=5, seed=5)
+        grid = GridSpec(lrs=(0.02, 0.08), clips=(1.0,))
+        rows = grid_search(ADDING_SPEC, grid, budget, train_ds, test_ds, tmp_path / "grid", workers=workers)
+        assert len(rows) == 2 and not any(r["diverged"] for r in rows)
+        starters = log.starters()
+        if helpers_in == "none":
+            assert starters == []
+        elif helpers_in == "parent":
+            assert starters and set(starters) == {os.getpid()}
+        else:
+            assert starters and os.getpid() not in starters
 
     def test_worker_count_does_not_change_summary(self, tiny_adding, tmp_path):
         train_ds, test_ds = tiny_adding
