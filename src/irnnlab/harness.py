@@ -6,8 +6,11 @@ minibatches are drawn without replacement, reshuffling each epoch. Every
 ``eval_every`` updates (and at the final step) the full test set is scored
 and one metrics row is emitted.
 
+``train`` and ``evaluate`` run BLAS on one thread (``one_blas_thread``,
+through the OpenBLAS in numpy's wheel), so their results do not depend on
+the BLAS thread variables; without that library nothing is pinned.
 Evaluation scores the test set in chunks of ``EVAL_CHUNK`` sequences on
-the cores that BLAS leaves idle (``eval_threads``): the calling thread and
+one thread per usable core (``eval_threads``): the calling thread and
 k-1 helper threads each take the next unscored chunk until none is left,
 so a thread slowed by other load takes fewer. Numpy releases the
 interpreter lock inside GEMM and ufunc loops, and chunks share nothing.
@@ -16,7 +19,7 @@ bit-identical for every thread count, and a failing chunk raises the
 error of the lowest failing chunk, as a serial loop would; after a
 failure no further chunk is handed out. The helpers are joined before
 ``evaluate`` returns, so ``grid_search`` never forks a process that has
-threads, and its forked workers split the idle cores between them.
+threads, and its forked workers split the cores between them.
 
 Metrics CSV contract: header ``step,train_loss,test_loss,task_metric,
 grad_norm,wallclock_s``, one row per eval point, ``.`` decimal separator,
@@ -31,11 +34,13 @@ are independent of worker count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import multiprocessing
 import os
-import re
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -127,49 +132,44 @@ def enumerate_cells(grid: GridSpec, cell_kind: str) -> list[tuple[float, float, 
     return cells
 
 
-# OpenBLAS takes its thread count at start-up from the first of these that
-# holds a positive integer (read as C's atoi reads it); with none, it uses
-# every core.
-OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_name() -> str:
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of the OpenBLAS in numpy's wheel, or None."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
     try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
-        return ""
+        lib = ctypes.CDLL(str(libs[0]))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):  # another BLAS, or numpy built from source
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
-def openblas_threads(environ=os.environ) -> int:
-    """OpenBLAS's thread count as set in ``environ``; 0 when BLAS runs on every
-    core, because no variable sets the count or numpy's BLAS is not OpenBLAS."""
-    if "openblas" not in _blas_name().lower():
-        return 0
-    for var in OPENBLAS_THREAD_VARS:
-        match = re.match(r"\s*\+?(\d+)", environ.get(var, ""))
-        if match and int(match.group(1)) > 0:
-            return int(match.group(1))
-    return 0
-
-
-# Read once, next to numpy's own start-up: OpenBLAS keeps the count it read
-# when numpy loaded it, whatever the environment says later.
-BLAS_THREADS = openblas_threads()
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore the saved count
+    (reentrant). Without a handle on OpenBLAS nothing is pinned."""
+    get, put = _openblas() or (lambda: None, lambda count: None)
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def eval_threads() -> int:
-    """Threads ``evaluate`` scores chunks on: the usable cores per BLAS thread.
-
-    Inside a forked ``grid_search`` worker the cores are shared with the
-    sibling workers, so each gets its part. With BLAS on every core,
-    evaluation stays serial.
-    """
-    if not BLAS_THREADS:
+    """Threads ``evaluate`` scores chunks on: the usable cores, split among the
+    forked workers of a ``grid_search``. Without a handle on OpenBLAS, BLAS may
+    run on every core, so evaluation stays serial."""
+    if _openblas() is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cores // (BLAS_THREADS * _WORKER_CTX.get("processes", 1)))
+    return max(1, cores // _WORKER_CTX.get("processes", 1))
 
 
+@one_blas_thread()
 def evaluate(
     spec: ModelSpec, params: CellParams, head: HeadParams, test_ds, chunk: int = EVAL_CHUNK
 ) -> tuple[float, float]:
@@ -229,6 +229,7 @@ def evaluate(
     return loss, metric
 
 
+@one_blas_thread()
 def train(
     spec: ModelSpec,
     cfg: TrainConfig,
@@ -315,15 +316,9 @@ def _run_cell(cell_index: int) -> dict:
     row: dict = {"lr": lr, "gc": gc}
     if fb is not None:
         row["fb"] = fb
-    if result.diverged or not result.history:
-        row.update({"final_test_loss": None, "task_metric": None, "diverged": result.diverged})
-    else:
-        last = result.history[-1]
-        row.update(
-            {"final_test_loss": last.test_loss, "task_metric": last.task_metric, "diverged": False}
-        )
-    row["metrics_path"] = metrics_name
-    row["seed"] = cell_seed
+    last = None if result.diverged or not result.history else result.history[-1]
+    row.update(final_test_loss=last and last.test_loss, task_metric=last and last.task_metric,
+               diverged=result.diverged, metrics_path=metrics_name, seed=cell_seed)
     return row
 
 
@@ -361,9 +356,9 @@ def grid_search(
     )
     try:
         if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            _WORKER_CTX["processes"] = min(workers, len(cells))
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            # the fork context starts every worker at once, so start no more than there are cells
+            _WORKER_CTX["processes"] = processes = min(workers, len(cells))
+            with ProcessPoolExecutor(max_workers=processes, mp_context=multiprocessing.get_context("fork")) as pool:
                 rows = list(pool.map(_run_cell, range(len(cells))))
         else:
             rows = [_run_cell(i) for i in range(len(cells))]

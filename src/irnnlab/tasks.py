@@ -166,6 +166,9 @@ def load_mnist(images_path, labels_path) -> MnistSeqDataset:
     cols = _read_be_u32(img_data, 12, images_path)
     if rows != cols:
         raise DataFormatError(f"{images_path}: images must be square, got {rows}x{cols}")
+    if count == 0 or rows == 0:
+        what, offset = ("count", 4) if count == 0 else ("side", 8)
+        raise DataFormatError(f"{images_path}: image {what} 0 at offset {offset}")
     expected = 16 + count * rows * cols
     if len(img_data) != expected:
         raise DataFormatError(

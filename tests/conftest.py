@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irnnlab
 from irnnlab import gen_adding, make_rng
+
+
+def blas_threads_env(threads: str) -> dict:
+    """The environment for a fresh interpreter that imports this ``irnnlab`` and starts
+    OpenBLAS with ``threads`` threads."""
+    src = str(Path(irnnlab.__file__).parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

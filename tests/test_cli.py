@@ -1,16 +1,31 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import blas_threads_env, write_idx_images, write_idx_labels
+from irnnlab import harness
 from irnnlab.cli import main
 from irnnlab.harness import METRICS_HEADER
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_cli_process(blas_threads, *args):
+    """``irnnlab`` in a fresh interpreter whose OpenBLAS starts with ``blas_threads`` threads."""
+    subprocess.run([sys.executable, "-m", "irnnlab.cli", *args], env=blas_threads_env(blas_threads),
+                   check=True, capture_output=True, timeout=600)
+
+
+def strip_wallclock(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
 def _drop(mapping, key):
@@ -31,6 +46,21 @@ def adding_files(tmp_path):
                    "--seed", "4", "--out", str(out))
     assert code == 0
     return out / "train.addp", out / "test.addp"
+
+
+@pytest.fixture
+def empty_idx(tmp_path):
+    """``make(kind)`` writes an IDX pair holding no images ("count") or three 0x0 images
+    ("side"), and returns its paths and the header offset of the zero."""
+
+    def make(kind):
+        images, labels = tmp_path / f"empty-{kind}-images.idx", tmp_path / f"empty-{kind}-labels.idx"
+        n, side = (0, 28) if kind == "count" else (3, 0)
+        write_idx_images(images, np.zeros((n, side, side), dtype=np.uint8))
+        write_idx_labels(labels, np.zeros(n, dtype=np.uint8))
+        return images, labels, 4 if kind == "count" else 8
+
+    return make
 
 
 class TestGenAdding:
@@ -83,13 +113,35 @@ class TestTrain:
         assert run_cli(*args, "--out-dir", str(out1)) == 0
         assert run_cli("train", "--manifest", str(out1 / "manifest.json"),
                        "--out-dir", str(out2)) == 0
-
-        def strip_wallclock(path):
-            lines = path.read_text().splitlines()
-            return [line.rsplit(",", 1)[0] for line in lines]
-
         assert strip_wallclock(out1 / "metrics.csv") == strip_wallclock(out2 / "metrics.csv")
         assert (out1 / "checkpoint.irnn").read_bytes() == (out2 / "checkpoint.irnn").read_bytes()
+
+    @pytest.mark.skipif(harness._openblas() is None, reason="needs the OpenBLAS of numpy's wheel")
+    def test_replay_under_other_blas_thread_count_is_exact(self, tmp_path):
+        # at T=50, B=128 the weight-gradient GEMM differs in its last bits between 1 and 2
+        # OpenBLAS threads, and the manifest records no thread count
+        data = tmp_path / "data"
+        assert run_cli("gen-adding", "--t", "50", "--n-train", "4000", "--n-test", "1000",
+                       "--seed", "6", "--out", str(data)) == 0
+        out1, out2 = tmp_path / "threads2", tmp_path / "threads1"
+        run_cli_process("2", "train", "--task", "adding", "--cell", "rnn", "--batch", "128",
+                        "--lr", "0.01", "--clip", "1", "--steps", "300", "--eval-every", "100",
+                        "--seed", "2", "--data", str(data / "train.addp"), str(data / "test.addp"),
+                        "--out-dir", str(out1))
+        run_cli_process("1", "train", "--manifest", str(out1 / "manifest.json"), "--out-dir", str(out2))
+        assert (out1 / "checkpoint.irnn").read_bytes() == (out2 / "checkpoint.irnn").read_bytes()
+        assert strip_wallclock(out1 / "metrics.csv") == strip_wallclock(out2 / "metrics.csv")
+
+    @pytest.mark.parametrize("empty", ["count", "side"])
+    def test_empty_mnist_test_set_exits_2(self, synthetic_mnist, empty_idx, tmp_path, capsys, empty):
+        img_path, lab_path, _, _ = synthetic_mnist
+        empty_images, empty_labels, offset = empty_idx(empty)
+        code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "0.01", "--clip", "1", "--steps", "10", "--eval-every", "5",
+                       "--data", str(img_path), str(lab_path), str(empty_images), str(empty_labels),
+                       "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2 and f"image {empty} 0 at offset {offset}" in err and "Traceback" not in err
 
     def test_forget_bias_conflict_names_flag(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
@@ -175,6 +227,20 @@ class TestEval:
         printed = capsys.readouterr().out
         loss = float(printed.split("test_loss ")[1].split()[0])
         assert loss == pytest.approx(math.log(10.0), abs=0.01)
+
+    @pytest.mark.parametrize("empty", ["count", "side"])
+    def test_empty_mnist_set_exits_2(self, synthetic_mnist, empty_idx, tmp_path, capsys, empty):
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "1e-8", "--clip", "1", "--steps", "0", "--data", str(img_path),
+                       str(lab_path), str(img_path), str(lab_path), "--out-dir", str(out)) == 0
+        empty_images, empty_labels, offset = empty_idx(empty)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
+                       "--data", str(empty_images), str(empty_labels))
+        err = capsys.readouterr().err
+        assert code == 2 and f"image {empty} 0 at offset {offset}" in err and "Traceback" not in err
 
     def test_eval_regression_checkpoint(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files

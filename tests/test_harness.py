@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -23,6 +25,7 @@ from irnnlab import (
     param_blocks,
     train,
 )
+from conftest import blas_threads_env
 from irnnlab import harness
 from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells
 from irnnlab.ndcore import DivergenceError
@@ -36,16 +39,83 @@ def fixed_timer():
     return 0.0
 
 
+# A 30-update relu IRNN at T=50, B=128, H=100 with the timer pinned; writes metrics.csv to argv[1].
+TRAIN_T50_B128 = """
+import sys
+from irnnlab import InitScheme, ModelSpec, TrainConfig, gen_adding, make_rng, train
+rng = make_rng(0)
+train_ds, test_ds = gen_adding(50, 4000, rng), gen_adding(50, 500, rng)
+spec = ModelSpec(cell="rnn", hidden=100, input_dim=2, head="regression", activation="relu",
+                 init=InitScheme("identity"))
+cfg = TrainConfig(lr=0.01, clip=1.0, max_steps=30, eval_every=10, batch_size=128, seed=1)
+train(spec, cfg, train_ds, test_ds, metrics_path=sys.argv[1], timer=lambda: 0.0)
+"""
+
+
+class BlasSpy:
+    """Stands in for the OpenBLAS thread-count handle: reports the count last set."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+def stand_in_blas(monkeypatch, count):
+    """Makes ``harness`` find a stand-in OpenBLAS at ``count`` threads, or none for count 0."""
+    spy = BlasSpy(count)
+    monkeypatch.setattr(harness, "_openblas", lambda: (spy.get, spy.set) if count else None)
+
+
 @pytest.fixture
 def force_eval_threads(monkeypatch):
-    """``force(k)`` makes ``eval_threads()`` return k on any host: OpenBLAS at one thread on k cores."""
+    """``force(k)`` makes ``eval_threads()`` return k on any host: k usable cores, and a
+    stand-in handle where numpy's OpenBLAS is not found."""
+    if harness._openblas() is None:
+        stand_in_blas(monkeypatch, 1)
 
     def force(k):
-        monkeypatch.setattr(harness, "BLAS_THREADS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         assert harness.eval_threads() == k
 
     return force
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """``(get, set)`` of the thread count ``harness`` pins, set to 2 for the test and
+    restored after it: numpy's OpenBLAS where found, a stand-in elsewhere."""
+    if harness._openblas() is None:
+        stand_in_blas(monkeypatch, 2)
+    get, put = harness._openblas()
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+class CountLog:
+    """A dataset wrapper that records the BLAS thread count at every batch and
+    raises at batch ``fail_at``."""
+
+    def __init__(self, ds, get, fail_at=None):
+        self.ds = ds
+        self.get = get
+        self.fail_at = fail_at
+        self.counts = []
+
+    def __len__(self):
+        return len(self.ds)
+
+    def batch(self, idx):
+        self.counts.append(self.get())
+        if len(self.counts) == self.fail_at:
+            raise RuntimeError("batch failed")
+        return self.ds.batch(idx)
 
 
 class ThreadSpy:
@@ -255,19 +325,19 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "env,cores,blas,expected",
         [
-            ({}, 2, "scipy-openblas", 1),  # unset: OpenBLAS already runs on every core
+            ({}, 2, "scipy-openblas", 2),
             ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, "scipy-openblas", 2),
             ({"OPENBLAS_NUM_THREADS": "1"}, 3, "scipy-openblas", 3),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 5, "openblas", 2),
-            ({"OPENBLAS_NUM_THREADS": "4"}, 2, "scipy-openblas", 1),
-            ({"OPENBLAS_NUM_THREADS": " 1"}, 2, "scipy-openblas", 2),  # atoi skips blanks
-            ({"OPENBLAS_NUM_THREADS": "abc"}, 2, "scipy-openblas", 1),  # atoi gives 0: unset
-            ({"OPENBLAS_NUM_THREADS": "0"}, 2, "scipy-openblas", 1),
-            ({"OPENBLAS_NUM_THREADS": "-1"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 5, "openblas", 5),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": " 1"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "abc"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 2, "scipy-openblas", 2),
+            ({"OPENBLAS_NUM_THREADS": "-1"}, 2, "scipy-openblas", 2),
             ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
             ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 1),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
             ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, "scipy-openblas", 2),
             ({"OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", 2),
             ({"OPENBLAS_NUM_THREADS": "1"}, 2, "accelerate", 1),  # not OpenBLAS: serial
@@ -275,31 +345,97 @@ class TestEvaluate:
         ],
     )
     def test_thread_count_rule(self, env, cores, blas, expected, monkeypatch):
-        monkeypatch.setattr(harness, "_blas_name", lambda: blas)
-        monkeypatch.setattr(harness, "BLAS_THREADS", harness.openblas_threads(env))
+        # one thread per core when the OpenBLAS handle is found, whatever the variables say
+        stand_in_blas(monkeypatch, 2 if "openblas" in blas else 0)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         assert harness.eval_threads() == expected
 
-    @pytest.mark.parametrize("blas_threads,env,expected", [(0, "1", 1), (1, None, 2)])
+    @pytest.mark.parametrize("blas_threads,env,expected", [(0, "1", 1), (1, None, 2), (2, "1", 2), (1, "2", 2)])
     def test_environment_is_read_once(self, blas_threads, env, expected, monkeypatch):
-        # OpenBLAS keeps the count it read when numpy loaded it; a later change does not count
-        monkeypatch.setattr(harness, "BLAS_THREADS", blas_threads)
-        for var in harness.OPENBLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        # OpenBLAS reads the variables once, at start-up: changing one at run time changes
+        # neither the thread rule nor the count BLAS runs on inside evaluate
+        stand_in_blas(monkeypatch, blas_threads)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         if env is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
         assert harness.eval_threads() == expected
+        if blas_threads:
+            spec, params, head, ds = multi_chunk_case("rnn", "regression")
+            get = harness._openblas()[0]
+            log = CountLog(ds, get)
+            evaluate(spec, params, head, log)
+            assert set(log.counts) == {1} and get() == blas_threads
 
     @pytest.mark.parametrize(
         "cores,blas_threads,processes,expected",
-        [(2, 1, 2, 1), (4, 1, 2, 2), (8, 2, 2, 2), (8, 1, 3, 2), (2, 1, 4, 1), (4, 0, 2, 1)],
+        [(2, 1, 2, 1), (4, 1, 2, 2), (8, 2, 2, 4), (8, 1, 3, 2), (2, 1, 4, 1), (4, 0, 2, 1)],
     )
     def test_grid_workers_split_cores(self, cores, blas_threads, processes, expected, monkeypatch):
-        monkeypatch.setattr(harness, "BLAS_THREADS", blas_threads)
+        # blas_threads is the count before the call; 0 means no OpenBLAS handle
+        stand_in_blas(monkeypatch, blas_threads)
         monkeypatch.setitem(harness._WORKER_CTX, "processes", processes)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         assert harness.eval_threads() == expected
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("fail_at", [None, 25])
+    def test_train_runs_on_one_thread_and_restores_count(self, fail_at, blas, tiny_adding):
+        # train nests evaluate at every tenth update; the updates after it must still run
+        # on one thread, and the caller's count comes back also when a batch raises
+        get, _ = blas
+        train_ds, test_ds = tiny_adding
+        train_log, test_log = CountLog(train_ds, get, fail_at), CountLog(test_ds, get)
+        cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=30, eval_every=10, seed=3)
+        with pytest.raises(RuntimeError) if fail_at else contextlib.nullcontext():
+            train(ADDING_SPEC, cfg, train_log, test_log)
+        assert len(train_log.counts) == (fail_at or 30) and test_log.counts
+        assert set(train_log.counts + test_log.counts) == {1}
+        assert get() == 2
+
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_evaluate_runs_on_one_thread_and_restores_count(self, diverges, blas, tiny_adding):
+        get, _ = blas
+        _, test_ds = tiny_adding
+        if diverges:
+            test_ds.signal[40, 3] = np.nan
+        params, head = init_params(ADDING_SPEC, make_rng(3))
+        log = CountLog(test_ds, get)
+        with pytest.raises(DivergenceError) if diverges else contextlib.nullcontext():
+            evaluate(ADDING_SPEC, params, head, log, chunk=32)
+        assert log.counts and set(log.counts) == {1}
+        assert get() == 2
+
+    def test_nested_block_keeps_outer_pin(self, blas):
+        get, _ = blas
+        with harness.one_blas_thread():
+            with harness.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    def test_without_handle_nothing_is_pinned(self, blas, tiny_adding, monkeypatch):
+        # shapes this small run BLAS on one thread anyway, so the results equal the pinned run's
+        get, _ = blas
+        train_ds, test_ds = tiny_adding
+        cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=30, eval_every=10, seed=4)
+        params, head = init_params(ADDING_SPEC, make_rng(5))
+        pinned_run = train(ADDING_SPEC, cfg, train_ds, test_ds, timer=fixed_timer)
+        pinned_eval = evaluate(ADDING_SPEC, params, head, test_ds)
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        assert harness.eval_threads() == 1
+        train_log, test_log = CountLog(train_ds, get), CountLog(test_ds, get)
+        run = train(ADDING_SPEC, cfg, train_log, test_log, timer=fixed_timer)
+        assert evaluate(ADDING_SPEC, params, head, test_log) == pinned_eval
+        assert set(train_log.counts + test_log.counts) == {2}  # the setter was never called
+        assert run.history == pinned_run.history
+        for name, block in param_blocks(pinned_run.params, pinned_run.head).items():
+            assert np.array_equal(block, param_blocks(run.params, run.head)[name])
 
 
 class TestTrain:
@@ -400,6 +536,15 @@ class TestTrain:
             train(spec, cfg, train_ds, test_ds, metrics_path=tmp_path / f"{k}.csv", timer=fixed_timer)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
+    @pytest.mark.skipif(harness._openblas() is None, reason="needs the OpenBLAS of numpy's wheel")
+    def test_metrics_csv_does_not_depend_on_blas_thread_variable(self, tmp_path):
+        # the (100 x 128)(128 x 103) weight-gradient GEMM of this shape differs in its last
+        # bits between 1 and 2 OpenBLAS threads, so unpinned runs part after a few updates
+        for threads in ("1", "2"):
+            subprocess.run([sys.executable, "-c", TRAIN_T50_B128, str(tmp_path / f"{threads}.csv")],
+                           env=blas_threads_env(threads), check=True, timeout=300)
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
 
 class TestGridSearch:
     def test_cell_enumeration_counts(self):
@@ -470,6 +615,30 @@ class TestGridSearch:
             assert starters and set(starters) == {os.getpid()}
         else:
             assert starters and os.getpid() not in starters
+
+    def test_pool_forks_no_more_workers_than_cells(self, tiny_adding, tmp_path, monkeypatch):
+        # the fork context starts every worker the pool is asked for, at once
+        asked = []
+
+        class PoolSpy:
+            def __init__(self, max_workers, mp_context):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", PoolSpy)
+        train_ds, test_ds = tiny_adding
+        budget = TrainConfig(lr=1.0, clip=1.0, max_steps=10, eval_every=10, seed=3)
+        grid = GridSpec(lrs=(0.02, 0.08), clips=(1.0,))
+        rows = grid_search(ADDING_SPEC, grid, budget, train_ds, test_ds, tmp_path, workers=64)
+        assert asked == [2] and len(rows) == 2
 
     def test_worker_count_does_not_change_summary(self, tiny_adding, tmp_path):
         train_ds, test_ds = tiny_adding
