@@ -209,6 +209,11 @@ def _load_datasets(args):
 def _load_pixel_sequences(paths, args) -> tuple:
     """One pixel-sequence dataset per (images, labels) IDX pair, then the permutation applied (or None)."""
     raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
+    if raws[-1].side != raws[0].side:
+        raise DataFormatError(
+            f"image side mismatch: {paths[0]} holds {raws[0].side}x{raws[0].side} images"
+            f" but {paths[-2]} holds {raws[-1].side}x{raws[-1].side}"
+        )
     side = args.downsample if args.downsample is not None else raws[0].side
     perm = None
     if args.permute_seed is not None:

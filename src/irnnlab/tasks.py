@@ -10,12 +10,13 @@ int64 T, int64 n (little-endian), then per example T signal doubles, T mask
 doubles, and one target double.
 
 MNIST loads from the standard IDX files (big-endian magic 0x00000803 for
-images, 0x00000801 for labels). ``prepare_pixel_sequences`` turns a whole
-set, once, into T = side*side step sequences of one pixel each, scanline
-order, scaled to [0, 1]; an optional fixed permutation reorders the pixel
-sequence identically for every image, and an optional average-pool
-downsample (to any side dividing 28) shortens the sequence for desk-scale
-runs. Training and evaluation slice their minibatches from that one set.
+images, 0x00000801 for labels). ``prepare_pixel_sequences`` views a set as
+T = side*side step sequences of one pixel each, scanline order, scaled to
+[0, 1]; an optional fixed permutation reorders the pixel sequence
+identically for every image, and an optional average-pool downsample (to
+any side dividing 28) shortens the sequence for desk-scale runs. The set
+keeps integer pixels (the image bytes, or exact block sums when pooled);
+floats are built only for the rows of each minibatch drawn from it.
 """
 
 from __future__ import annotations
@@ -153,29 +154,36 @@ def _read_be_u32(data: bytes, offset: int, path) -> int:
 
 
 def load_mnist(images_path, labels_path) -> MnistSeqDataset:
-    """Parse an IDX image/label file pair with full structural validation."""
+    """Parse an IDX image/label file pair with full structural validation.
+
+    The header and the file size are checked before the images are read
+    straight into one uint8 array, so the image file is held once.
+    """
     with open(images_path, "rb") as fh:
-        img_data = fh.read()
-    magic = _read_be_u32(img_data, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{images_path}: bad magic 0x{magic:08X} at offset 0 (expected 0x{IDX_IMAGE_MAGIC:08X})"
-        )
-    count = _read_be_u32(img_data, 4, images_path)
-    rows = _read_be_u32(img_data, 8, images_path)
-    cols = _read_be_u32(img_data, 12, images_path)
-    if rows != cols:
-        raise DataFormatError(f"{images_path}: images must be square, got {rows}x{cols}")
-    if count == 0 or rows == 0:
-        what, offset = ("count", 4) if count == 0 else ("side", 8)
-        raise DataFormatError(f"{images_path}: image {what} 0 at offset {offset}")
-    expected = 16 + count * rows * cols
-    if len(img_data) != expected:
-        raise DataFormatError(
-            f"{images_path}: expected {expected} bytes for {count} images, found {len(img_data)}"
-            f" (truncated at offset {len(img_data)})"
-        )
-    images = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(count, rows * cols).copy()
+        header = fh.read(16)
+        magic = _read_be_u32(header, 0, images_path)
+        if magic != IDX_IMAGE_MAGIC:
+            raise DataFormatError(
+                f"{images_path}: bad magic 0x{magic:08X} at offset 0 (expected 0x{IDX_IMAGE_MAGIC:08X})"
+            )
+        count = _read_be_u32(header, 4, images_path)
+        rows = _read_be_u32(header, 8, images_path)
+        cols = _read_be_u32(header, 12, images_path)
+        if rows != cols:
+            raise DataFormatError(f"{images_path}: images must be square, got {rows}x{cols}")
+        if count == 0 or rows == 0:
+            what, offset = ("count", 4) if count == 0 else ("side", 8)
+            raise DataFormatError(f"{images_path}: image {what} 0 at offset {offset}")
+        expected = 16 + count * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            images = np.empty((count, rows * cols), dtype=np.uint8)
+            size = 16 + fh.readinto(images)
+        if size != expected:
+            raise DataFormatError(
+                f"{images_path}: expected {expected} bytes for {count} images, found {size}"
+                f" (truncated at offset {size})"
+            )
 
     with open(labels_path, "rb") as fh:
         lab_data = fh.read()
@@ -224,7 +232,7 @@ def _validate_permutation(perm: np.ndarray, n: int, origin="permutation") -> Non
 
 @dataclass
 class PixelSequenceDataset:
-    """Precomputed pixel sequences for training: floats (N, T) in [0, 1], labels (N,)."""
+    """Pixel sequences given as floats (N, T) in [0, 1], labels (N,)."""
 
     floats: np.ndarray
     labels: np.ndarray
@@ -237,19 +245,47 @@ class PixelSequenceDataset:
         return SequenceBatch(inputs=inputs, targets=self.labels[indices])
 
 
+@dataclass
+class PixelImageDataset:
+    """Integer pixel sequences (N, T) in scanline order, labels (N,), and the
+    permutation applied to every sequence; a pixel is a sum of ``pool`` bytes.
+    Floats in [0, 1] are built only for the rows drawn."""
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    permutation: np.ndarray
+    pool: int
+
+    def __len__(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def floats(self) -> np.ndarray:
+        """The whole set as floats (N, T) in [0, 1]: one batch of every row, transposed."""
+        return self.batch(slice(None)).inputs[:, :, 0].T
+
+    def batch(self, indices) -> SequenceBatch:
+        """Inputs of shape (T, B, 1): the rows gathered and permuted in integers, then
+        divided by ``pool`` and by 255, the float block mean's own two roundings
+        (dividing by 1 is exact), so the values match it bit for bit."""
+        inputs = np.divide(self.pixels[indices].T[self.permutation], self.pool, dtype=np.float64)
+        inputs /= 255.0
+        return SequenceBatch(inputs=inputs[:, :, None], targets=self.labels[indices])
+
+
 def prepare_pixel_sequences(
     ds: MnistSeqDataset,
     permutation: np.ndarray | None = None,
     downsample: int | None = None,
-) -> PixelSequenceDataset:
-    """Every image as a row of T floats in [0, 1], computed once so per-batch slicing is cheap.
+) -> PixelImageDataset:
+    """Every image as a sequence of T = side*side integer pixels, ready for batching.
 
-    Downsampling average-pools the raw bytes first; the permutation then
-    reorders the flattened pixel sequence identically for every image.
-    Pooling and permuting stay in integers: each block sum is exact in
-    uint32 (at most 255 * 28**2), and one float64 conversion followed by
-    the divisions by factor**2 and 255 rounds exactly as the float mean
-    would, so no float array larger than the result is built.
+    Without downsampling the set holds the images' own bytes, uncopied.
+    Downsampling average-pools by summing each factor x factor block from
+    the factor**2 strided views straight into the small result, exact in
+    uint16 while 255 * factor**2 fits and in uint32 beyond. The permutation
+    reorders the pixel sequence identically for every image when a batch
+    is drawn, so no float array of the whole set is built.
     """
     side = ds.side if downsample is None else downsample
     if side < 1 or ds.side % side != 0:
@@ -257,21 +293,14 @@ def prepare_pixel_sequences(
     factor = ds.side // side
     pixels = ds.images
     if factor > 1:
-        # strided views add up the block's rows, then its columns: 2*factor passes
         imgs = ds.images.reshape(-1, ds.side, ds.side)
-        rows = imgs[:, ::factor].astype(np.uint32)
-        for i in range(1, factor):
-            rows += imgs[:, i::factor]
-        pixels = rows[:, :, ::factor].copy()
-        for j in range(1, factor):
-            pixels += rows[:, :, j::factor]
-        del rows
-        pixels = pixels.reshape(-1, side * side)
-    if permutation is not None:
-        _validate_permutation(np.asarray(permutation), side * side)
-        pixels = np.take(pixels, permutation, axis=1)
-    floats = pixels.astype(np.float64)
-    if factor > 1:
-        floats /= factor * factor
-    floats /= 255.0
-    return PixelSequenceDataset(floats=floats, labels=ds.labels.astype(np.int64))
+        dtype = np.uint16 if 255 * factor * factor <= np.iinfo(np.uint16).max else np.uint32
+        sums = np.zeros((len(ds), side, side), dtype=dtype)
+        for i in range(factor):
+            for j in range(factor):
+                sums += imgs[:, i::factor, j::factor]
+        pixels = sums.reshape(-1, side * side)
+    permutation = np.arange(side * side) if permutation is None else np.asarray(permutation)
+    _validate_permutation(permutation, side * side)
+    return PixelImageDataset(pixels=pixels, labels=ds.labels.astype(np.int64), permutation=permutation,
+                             pool=factor * factor)

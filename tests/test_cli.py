@@ -143,6 +143,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 2 and f"image {empty} 0 at offset {offset}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("permute", [[], ["--permute-seed", "3"]], ids=["plain", "permuted"])
+    def test_train_and_test_image_sides_differ_exits_2(self, synthetic_mnist, tmp_path, capsys, permute):
+        img_path, lab_path, images, _ = synthetic_mnist
+        small = tmp_path / "small-images.idx"
+        write_idx_images(small, images[:, ::2, ::2])
+        code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "0.01", "--clip", "1", "--steps", "2", "--eval-every", "1", *permute,
+                       "--data", str(img_path), str(lab_path), str(small), str(lab_path),
+                       "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"{img_path} holds 28x28" in err and f"{small} holds 14x14" in err
+
     def test_forget_bias_conflict_names_flag(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--forget-bias", "4",

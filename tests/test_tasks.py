@@ -14,7 +14,18 @@ from irnnlab.tasks import (
     prepare_pixel_sequences,
     save_permutation,
 )
-from conftest import write_idx_labels
+from conftest import write_idx_images, write_idx_labels
+
+
+def peak_traced_bytes(fn):
+    """Run ``fn()`` and return its result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestGenAdding:
@@ -133,13 +144,12 @@ class TestAddingFiles:
         # (about 1x the file); a whole-file copy per step would reach 3x
         ds = gen_adding(150, 3000, make_rng(8))
         path = tmp_path / "data.addp"
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             save_adding(ds, path)
-            back = load_adding(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return load_adding(path)
+
+        back, peak = peak_traced_bytes(round_trip)
         assert np.array_equal(back.signal, ds.signal)
         assert peak < 2 * path.stat().st_size
 
@@ -189,6 +199,15 @@ class TestIdxLoader:
         write_idx_labels(short, labels[:-3])
         with pytest.raises(DataFormatError, match="mismatch"):
             load_mnist(img_path, short)
+
+    def test_image_file_is_held_once(self, tmp_path):
+        images = np.random.default_rng(3).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(img_path, images)
+        write_idx_labels(lab_path, np.arange(2000) % 10)
+        ds, peak = peak_traced_bytes(lambda: load_mnist(img_path, lab_path))
+        assert np.array_equal(ds.images, images.reshape(2000, 784))
+        assert peak < 1.25 * images.nbytes
 
 
 class TestSequenceConversion:
@@ -267,25 +286,40 @@ class TestSequenceConversion:
         ref = (ref.mean(axis=(2, 4)) if factor > 1 else ref).reshape(-1, s * s) / 255.0
         if permute:
             ref = ref[:, perm]
-        floats = prepare_pixel_sequences(ds, permutation=perm, downsample=side).floats
+        prepared = prepare_pixel_sequences(ds, permutation=perm, downsample=side)
+        floats = prepared.floats
         assert floats.dtype == np.float64 and floats.shape == ref.shape
         assert floats.tobytes() == ref.tobytes()
+        # batches: random rows with repeats, laid out (T, B, 1)
+        idx = np.random.default_rng(s).integers(0, 50, size=60)
+        assert len(np.unique(idx)) < len(idx)
+        inputs = prepared.batch(idx).inputs
+        expected = np.ascontiguousarray(ref[idx].T[:, :, None])
+        assert inputs.dtype == np.float64 and inputs.shape == expected.shape and inputs.flags.c_contiguous
+        assert inputs.tobytes() == expected.tobytes()
 
-    def test_all_white_pooled_to_one_pixel_is_exactly_one(self):
-        # the block sum 255 * 784 = 199,920 would overflow a uint16 accumulator
+    @pytest.mark.parametrize("side", [None, 28, 14, 7, 4, 2, 1])
+    def test_all_white_is_exactly_one_at_every_side(self, side):
+        # side 1 sums 255 * 784 = 199,920, which would overflow a uint16 accumulator
         ds = MnistSeqDataset(images=np.full((3, 784), 255, dtype=np.uint8), labels=np.zeros(3), side=28)
-        assert np.array_equal(prepare_pixel_sequences(ds, downsample=1).floats, np.ones((3, 1)))
+        t = 784 if side is None else side * side
+        prepared = prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=t), downsample=side)
+        assert np.array_equal(prepared.floats, np.ones((3, t)))
+        assert np.array_equal(prepared.batch(np.array([2, 0, 2])).inputs, np.ones((t, 3, 1)))
 
-    def test_pooling_builds_no_full_resolution_float_array(self):
+    @pytest.mark.parametrize("side", [None, 14, 7])
+    def test_builds_no_whole_set_float_array(self, side):
         n = 2000
         ds = self.random_bytes(n)
-        tracemalloc.start()
-        try:
-            prepare_pixel_sequences(ds, permutation=make_permutation(196, seed=1), downsample=14)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * 784 * 8
+        t = 784 if side is None else side * side
+        _, peak = peak_traced_bytes(
+            lambda: prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=1), downsample=side)
+        )
+        assert peak < n * t * 8
+
+    def test_unpooled_set_holds_the_image_bytes(self):
+        ds = self.random_bytes(5)
+        assert prepare_pixel_sequences(ds, permutation=make_permutation(784, seed=1)).pixels is ds.images
 
 
 class TestPermutation:
