@@ -60,6 +60,7 @@ from .network import (
     head_outputs,
     init_params,
     param_blocks,
+    _check_batch,
     _rollout,
 )
 from .optim import TrainConfig, clip_gradients, sgd_step
@@ -175,9 +176,10 @@ def evaluate(
 ) -> tuple[float, float]:
     """Mean loss over the full test set plus the task metric (RMSE or accuracy).
 
-    Chunked so long sequences never materialize a full-dataset tape; the
-    chunks are scored on ``eval_threads()`` threads and summed in chunk
-    order (see the module docstring).
+    Chunks of ``chunk`` sequences bound the (T, B, D) input block built at a
+    time and are the unit of work of the ``eval_threads()`` threads; their
+    results are summed in chunk order (see the module docstring). Targets
+    are checked as in ``forward``, so a label the head cannot score raises.
     """
     n = len(test_ds)
     starts = range(0, n, chunk)
@@ -196,6 +198,7 @@ def evaluate(
             try:
                 idx = np.arange(starts[i], min(starts[i] + chunk, n))
                 batch = test_ds.batch(idx)
+                _check_batch(spec, batch)
                 h_last, _ = _rollout(spec, params, batch.inputs, keep=False)
                 predictions = head_outputs(spec, head, h_last)
                 loss = head_loss(spec, predictions, batch.targets) * len(idx)

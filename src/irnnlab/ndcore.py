@@ -1,13 +1,19 @@
-"""Seeded randomness, the global L2 norm, and the package's two numeric error types.
+"""Seeded randomness, the global L2 norm, the package's error types, and the payload reader.
 
 Randomness comes from a PCG64 generator so that equal seeds give equal
 streams within one installation (bitwise reproducibility across library
 versions is out of scope).
+
+Every binary file (ADDP datasets, IDX images and labels, IRNN checkpoints)
+is a header and one payload array. Its loader parses the header and calls
+``read_payload``, which checks the file size before allocating anything and
+reads the payload straight into one array, so each file is held once.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -20,6 +26,10 @@ class ShapeError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A computation produced non-finite or overflowing values."""
+
+
+class DataFormatError(ValueError):
+    """A data or checkpoint file failed structural validation."""
 
 
 def make_rng(seed: int) -> Rng:
@@ -35,3 +45,26 @@ def l2_norm(arrays) -> float:
             flat = np.asarray(a, dtype=np.float64).ravel()
             total += float(np.dot(flat, flat))
     return math.sqrt(total)
+
+
+def read_payload(fh, path, offset: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Read the rest of the binary file ``fh``, positioned at ``offset`` just past its
+    header, into one new array of ``shape`` and ``dtype``.
+
+    The file must hold exactly the header plus that payload. Its size is checked
+    before the array is allocated; a short file is reported as truncated, and a long
+    one by its trailing bytes.
+    """
+    dtype = np.dtype(dtype)
+    expected = offset + dtype.itemsize * math.prod(shape)
+    size = os.fstat(fh.fileno()).st_size
+    if size == expected:
+        payload = np.empty(shape, dtype=dtype)
+        size = offset + fh.readinto(payload)
+    if size < expected:
+        raise DataFormatError(f"{path}: expected {expected} bytes, found {size} (truncated at offset {size})")
+    if size > expected:
+        raise DataFormatError(
+            f"{path}: expected {expected} bytes, found {size} ({size - expected} trailing bytes at offset {expected})"
+        )
+    return payload

@@ -27,10 +27,14 @@ Checkpoint format (little-endian throughout):
     offset 88   parameter blocks as raw float64, row-major, in block order
                 (rnn: W, V, b, U, c; lstm: Wi, Vi, bi, Wf, Vf, bf, Wo, Vo,
                 bo, Wg, Vg, bg, U, c)
+
+``load_checkpoint`` validates the header and the spec, then reads the blocks
+through ``ndcore.read_payload`` as one float64 array that they are views of.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -48,7 +52,7 @@ from .cells import (
     rnn_forward,
 )
 from .init import DEFAULT_INPUT_STD, InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline
-from .ndcore import DivergenceError, Rng, ShapeError
+from .ndcore import DivergenceError, Rng, ShapeError, read_payload
 
 CellParams = Union[RnnParams, LstmParams]
 
@@ -335,44 +339,35 @@ def _decode(path, field: str, offset: int, codes: dict, code: int):
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
-    """Read a checkpoint back; values round-trip bit-identically."""
+    """Read a checkpoint back (see the module docstring); values round-trip bit-identically."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _SPEC_STRUCT.size or data[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic or truncated header)")
-    (_, cell_c, act_c, hidden, input_dim, head_c, classes, init_c, init_val, input_std, fb) = (
-        _SPEC_STRUCT.unpack_from(data)
-    )
-    cell = _decode(path, "cell", 8, _CELL_CODES, cell_c)
-    activation = _decode(path, "activation", 16, _ACT_CODES, act_c)
-    head_kind = _decode(path, "head", 40, _HEAD_CODES, head_c)
-    init_kind = _decode(path, "init kind", 56, _INIT_CODES, init_c)
-    scheme = None if init_kind is None else InitScheme(init_kind, init_val)
-    spec = ModelSpec(
-        cell=cell,
-        hidden=int(hidden),
-        input_dim=int(input_dim),
-        head=head_kind,
-        activation=activation,
-        classes=int(classes),
-        init=scheme,
-        input_init_std=input_std,
-        forget_bias=fb,
-    )
-    shapes = _block_shapes(spec)
-    expected = _SPEC_STRUCT.size + 8 * sum(int(np.prod(s)) for s in shapes.values())
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    offset = _SPEC_STRUCT.size
-    blocks: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        blocks[name] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
+        header = fh.read(_SPEC_STRUCT.size)
+        if len(header) < _SPEC_STRUCT.size or header[:8] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic or truncated header)")
+        (_, cell_c, act_c, hidden, input_dim, head_c, classes, init_c, init_val, input_std, fb) = (
+            _SPEC_STRUCT.unpack(header)
         )
-        offset += 8 * count
+        cell = _decode(path, "cell", 8, _CELL_CODES, cell_c)
+        activation = _decode(path, "activation", 16, _ACT_CODES, act_c)
+        head_kind = _decode(path, "head", 40, _HEAD_CODES, head_c)
+        init_kind = _decode(path, "init kind", 56, _INIT_CODES, init_c)
+        scheme = None if init_kind is None else InitScheme(init_kind, init_val)
+        spec = ModelSpec(
+            cell=cell,
+            hidden=int(hidden),
+            input_dim=int(input_dim),
+            head=head_kind,
+            activation=activation,
+            classes=int(classes),
+            init=scheme,
+            input_init_std=input_std,
+            forget_bias=fb,
+        )
+        shapes = _block_shapes(spec)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        payload = read_payload(fh, path, _SPEC_STRUCT.size, (sum(sizes),), "<f8")
+    parts = np.split(payload, np.cumsum(sizes)[:-1])
+    blocks = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
     head = HeadParams(U=blocks.pop("U"), c=blocks.pop("c"))
     params: CellParams = RnnParams(**blocks, activation=activation) if cell == "rnn" else LstmParams(**blocks)
     return spec, params, head

@@ -7,28 +7,29 @@ input at step t is the 2-vector (signal[t], mask[t]).
 
 Generated datasets persist as a flat binary (``ADDP0001``): 8-byte magic,
 int64 T, int64 n (little-endian), then per example T signal doubles, T mask
-doubles, and one target double.
+doubles, and one target double. MNIST loads from the standard IDX files
+(big-endian magic 0x00000803 for images, 0x00000801 for labels, which must
+be digits 0-9). Both loaders read their payload with ``ndcore.read_payload``.
 
-MNIST loads from the standard IDX files (big-endian magic 0x00000803 for
-images, 0x00000801 for labels). ``prepare_pixel_sequences`` views a set as
-T = side*side step sequences of one pixel each, scanline order, scaled to
-[0, 1]; an optional fixed permutation reorders the pixel sequence
-identically for every image, and an optional average-pool downsample (to
-any side dividing 28) shortens the sequence for desk-scale runs. The set
-keeps integer pixels (the image bytes, or exact block sums when pooled);
-floats are built only for the rows of each minibatch drawn from it.
+``prepare_pixel_sequences`` views a set as T = side*side step sequences of
+one pixel each, scanline order, scaled to [0, 1]; an optional fixed
+permutation reorders the pixel sequence identically for every image, and an
+optional average-pool downsample (to any side dividing 28) shortens the
+sequence for desk-scale runs. The set keeps integer pixels (the image bytes,
+or exact block sums when pooled); floats are built only for the rows of each
+minibatch drawn from it.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ndcore import Rng, make_rng
+from .ndcore import DataFormatError, Rng, make_rng, read_payload
 from .network import SequenceBatch
 
 ADDING_MAGIC = b"ADDP0001"
@@ -42,10 +43,6 @@ ANALYTIC_CONSTANT_BASELINE_MSE = 1.0 / 6.0
 
 # Examples per block when writing ADDP files, so no whole-file copy is built.
 _IO_ROWS = 1024
-
-
-class DataFormatError(ValueError):
-    """A data file failed structural validation."""
 
 
 @dataclass
@@ -124,14 +121,7 @@ def load_adding(path) -> AddingDataset:
         t_steps, n = struct.unpack_from("<qq", header, 8)
         if t_steps < 2 or n < 1:
             raise DataFormatError(f"{path}: invalid header T={t_steps}, n={n} at offset 8")
-        expected = 24 + 8 * n * (2 * t_steps + 1)
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise DataFormatError(f"{path}: expected {expected} bytes, found {size} (truncated at offset {size})")
-        rows = np.empty((n, 2 * t_steps + 1), dtype="<f8")
-        got = 24 + fh.readinto(rows)
-        if got != expected:
-            raise DataFormatError(f"{path}: expected {expected} bytes, found {got} (truncated at offset {got})")
+        rows = read_payload(fh, path, 24, (n, 2 * t_steps + 1), "<f8")
     return AddingDataset(signal=rows[:, :t_steps], mask=rows[:, t_steps : 2 * t_steps], target=rows[:, -1])
 
 
@@ -147,63 +137,40 @@ class MnistSeqDataset:
         return self.images.shape[0]
 
 
-def _read_be_u32(data: bytes, offset: int, path) -> int:
-    if offset + 4 > len(data):
-        raise DataFormatError(f"{path}: truncated at offset {offset} (file has {len(data)} bytes)")
-    return struct.unpack_from(">I", data, offset)[0]
+def _read_idx(path, magic: int, dims: int) -> tuple[np.ndarray, list[int]]:
+    """The ``dims`` header sizes of an IDX file with the given magic, and its payload
+    as one flat uint8 array."""
+    with open(path, "rb") as fh:
+        header = fh.read(4 + 4 * dims)
+        if len(header) < 4 + 4 * dims:
+            raise DataFormatError(f"{path}: truncated at offset {len(header)} (the header takes {4 + 4 * dims} bytes)")
+        found, *sizes = struct.unpack(f">{1 + dims}I", header)
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic 0x{found:08X} at offset 0 (expected 0x{magic:08X})")
+        return read_payload(fh, path, len(header), (math.prod(sizes),), np.uint8), sizes
 
 
 def load_mnist(images_path, labels_path) -> MnistSeqDataset:
     """Parse an IDX image/label file pair with full structural validation.
 
-    The header and the file size are checked before the images are read
-    straight into one uint8 array, so the image file is held once.
+    Each file is read straight into one uint8 array after its header and size
+    are checked, so each is held once. Labels must be digits 0-9.
     """
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        magic = _read_be_u32(header, 0, images_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08X} at offset 0 (expected 0x{IDX_IMAGE_MAGIC:08X})"
-            )
-        count = _read_be_u32(header, 4, images_path)
-        rows = _read_be_u32(header, 8, images_path)
-        cols = _read_be_u32(header, 12, images_path)
-        if rows != cols:
-            raise DataFormatError(f"{images_path}: images must be square, got {rows}x{cols}")
-        if count == 0 or rows == 0:
-            what, offset = ("count", 4) if count == 0 else ("side", 8)
-            raise DataFormatError(f"{images_path}: image {what} 0 at offset {offset}")
-        expected = 16 + count * rows * cols
-        size = os.fstat(fh.fileno()).st_size
-        if size == expected:
-            images = np.empty((count, rows * cols), dtype=np.uint8)
-            size = 16 + fh.readinto(images)
-        if size != expected:
-            raise DataFormatError(
-                f"{images_path}: expected {expected} bytes for {count} images, found {size}"
-                f" (truncated at offset {size})"
-            )
-
-    with open(labels_path, "rb") as fh:
-        lab_data = fh.read()
-    magic = _read_be_u32(lab_data, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise DataFormatError(
-            f"{labels_path}: bad magic 0x{magic:08X} at offset 0 (expected 0x{IDX_LABEL_MAGIC:08X})"
-        )
-    lab_count = _read_be_u32(lab_data, 4, labels_path)
-    if len(lab_data) != 8 + lab_count:
-        raise DataFormatError(
-            f"{labels_path}: expected {8 + lab_count} bytes for {lab_count} labels,"
-            f" found {len(lab_data)} (truncated at offset {len(lab_data)})"
-        )
+    images, (count, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    if rows != cols:
+        raise DataFormatError(f"{images_path}: images must be square, got {rows}x{cols}")
+    if count == 0 or rows == 0:
+        what, offset = ("count", 4) if count == 0 else ("side", 8)
+        raise DataFormatError(f"{images_path}: image {what} 0 at offset {offset}")
+    labels, (lab_count,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if lab_count != count:
         raise DataFormatError(
             f"count mismatch: {images_path} holds {count} images but {labels_path} holds {lab_count} labels"
         )
-    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8).copy()
-    return MnistSeqDataset(images=images, labels=labels, side=rows)
+    if labels.max() > 9:
+        first = int(np.argmax(labels > 9))
+        raise DataFormatError(f"{labels_path}: label {labels[first]} at offset {8 + first} is not a digit 0-9")
+    return MnistSeqDataset(images=images.reshape(count, rows * cols), labels=labels, side=rows)
 
 
 def make_permutation(n: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,17 @@ def blas_threads_env(threads: str) -> dict:
     src = str(Path(irnnlab.__file__).parents[1])
     return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def peak_traced_bytes(fn):
+    """Run ``fn()`` and return its result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

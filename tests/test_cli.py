@@ -63,6 +63,15 @@ def empty_idx(tmp_path):
     return make
 
 
+@pytest.fixture
+def label_12(synthetic_mnist, tmp_path):
+    """The synthetic test labels with label 12 at index 5 (file offset 13)."""
+    _, _, _, labels = synthetic_mnist
+    path = tmp_path / "labels-12.idx"
+    write_idx_labels(path, np.where(np.arange(len(labels)) == 5, 12, labels))
+    return path
+
+
 class TestGenAdding:
     def test_writes_files_and_baseline(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -142,6 +151,15 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "run"))
         err = capsys.readouterr().err
         assert code == 2 and f"image {empty} 0 at offset {offset}" in err and "Traceback" not in err
+
+    def test_test_label_above_9_exits_2(self, synthetic_mnist, label_12, tmp_path, capsys):
+        img_path, lab_path, _, _ = synthetic_mnist
+        code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "0.01", "--clip", "1", "--steps", "2", "--eval-every", "1",
+                       "--data", str(img_path), str(lab_path), str(img_path), str(label_12),
+                       "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2 and f"{label_12}: label 12 at offset 13" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("permute", [[], ["--permute-seed", "3"]], ids=["plain", "permuted"])
     def test_train_and_test_image_sides_differ_exits_2(self, synthetic_mnist, tmp_path, capsys, permute):
@@ -254,6 +272,18 @@ class TestEval:
                        "--data", str(empty_images), str(empty_labels))
         err = capsys.readouterr().err
         assert code == 2 and f"image {empty} 0 at offset {offset}" in err and "Traceback" not in err
+
+    def test_label_above_9_exits_2(self, synthetic_mnist, label_12, tmp_path, capsys):
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "1e-8", "--clip", "1", "--steps", "0", "--data", str(img_path),
+                       str(lab_path), str(img_path), str(lab_path), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
+                       "--data", str(img_path), str(label_12))
+        err = capsys.readouterr().err
+        assert code == 2 and f"{label_12}: label 12 at offset 13" in err and "Traceback" not in err
 
     def test_eval_regression_checkpoint(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files

@@ -250,6 +250,14 @@ class TestEvaluate:
         _, accuracy = evaluate(spec, params, head, FakeDs())
         assert accuracy == pytest.approx(0.1, abs=0.02)
 
+    def test_label_the_head_cannot_score_raises_value_error(self):
+        # a 4-class head and a label of 4 in the second chunk: checked like ``forward``,
+        # not an IndexError from the loss
+        spec, params, head, ds = multi_chunk_case("rnn", "softmax")
+        ds.labels[1200] = 4
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            evaluate(spec, params, head, ds, chunk=1000)
+
     def test_chunking_does_not_change_result(self, tiny_adding):
         train_ds, test_ds = tiny_adding
         params, head = init_params(ADDING_SPEC, make_rng(3))

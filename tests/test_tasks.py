@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,18 +13,7 @@ from irnnlab.tasks import (
     prepare_pixel_sequences,
     save_permutation,
 )
-from conftest import write_idx_images, write_idx_labels
-
-
-def peak_traced_bytes(fn):
-    """Run ``fn()`` and return its result and the tracemalloc peak while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
+from conftest import peak_traced_bytes, write_idx_images, write_idx_labels
 
 
 class TestGenAdding:
@@ -200,14 +188,31 @@ class TestIdxLoader:
         with pytest.raises(DataFormatError, match="mismatch"):
             load_mnist(img_path, short)
 
-    def test_image_file_is_held_once(self, tmp_path):
-        images = np.random.default_rng(3).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+    @pytest.mark.parametrize("held", ["images", "labels"])
+    def test_file_is_held_once(self, tmp_path, held):
+        # the label case has 1x1 images, so its label file is as large as its image file
+        n, side = (2000, 28) if held == "images" else (1_000_000, 1)
+        images = np.random.default_rng(3).integers(0, 256, size=(n, side, side), dtype=np.uint8)
+        labels = np.arange(n) % 10
         img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
         write_idx_images(img_path, images)
-        write_idx_labels(lab_path, np.arange(2000) % 10)
+        write_idx_labels(lab_path, labels)
         ds, peak = peak_traced_bytes(lambda: load_mnist(img_path, lab_path))
-        assert np.array_equal(ds.images, images.reshape(2000, 784))
-        assert peak < 1.25 * images.nbytes
+        assert np.array_equal(ds.images, images.reshape(n, side * side))
+        assert np.array_equal(ds.labels, labels)
+        if held == "images":
+            assert peak < 1.25 * images.nbytes
+        else:
+            assert peak < images.nbytes + 1.25 * n
+
+    def test_label_above_9_rejected_with_offset(self, tmp_path, synthetic_mnist):
+        img_path, _, _, labels = synthetic_mnist
+        bad = tmp_path / "bad_labels.idx"
+        labels = labels.copy()
+        labels[[3, 7]] = [10, 255]
+        write_idx_labels(bad, labels)
+        with pytest.raises(DataFormatError, match=f"{bad}: label 10 at offset 11 is not a digit 0-9"):
+            load_mnist(img_path, bad)
 
 
 class TestSequenceConversion:
