@@ -23,7 +23,6 @@ from .network import (
     init_params,
     load_checkpoint,
     param_blocks,
-    predict,
     save_checkpoint,
 )
 from .optim import TrainConfig, clip_gradients, sgd_step
@@ -75,7 +74,6 @@ __all__ = [
     "numeric_gradient",
     "param_blocks",
     "parse_scheme",
-    "predict",
     "save_adding",
     "save_checkpoint",
     "sgd_step",

@@ -58,15 +58,17 @@ class _Cell:
 
     gates: ClassVar[tuple[str, ...]]
 
+    @classmethod
+    def shapes(cls, h: int, d: int) -> dict[str, tuple[int, ...]]:
+        """Every block's shape in ``blocks()`` order: W (h, h), V (h, d) and b (h,) per gate."""
+        kinds = (("W", (h, h)), ("V", (h, d)), ("b", (h,)))
+        return {f"{kind}{gate}": shape for gate in cls.gates for kind, shape in kinds}
+
     def __post_init__(self):
-        h, d = self.hidden, self.input_dim
-        for gate in self.gates:
-            w, v, b = (getattr(self, f"{kind}{gate}") for kind in "WVb")
-            if w.shape != (h, h) or v.shape != (h, d) or b.shape != (h,):
-                raise ShapeError(
-                    f"gate {gate!r} has shapes W {w.shape}, V {v.shape}, b {b.shape};"
-                    f" expected ({h},{h}), ({h},{d}), ({h},)"
-                )
+        expected = self.shapes(self.hidden, self.input_dim)
+        got = {name: getattr(self, name).shape for name in expected}
+        if got != expected:
+            raise ShapeError(f"block shapes {got}; expected {expected}")
 
     @property
     def hidden(self) -> int:
@@ -77,7 +79,7 @@ class _Cell:
         return getattr(self, f"V{self.gates[0]}").shape[1]
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {f"{kind}{gate}": getattr(self, f"{kind}{gate}") for gate in self.gates for kind in "WVb"}
+        return {name: getattr(self, name) for name in self.shapes(self.hidden, self.input_dim)}
 
 
 @dataclass

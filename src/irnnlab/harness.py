@@ -56,12 +56,9 @@ from .network import (
     ModelSpec,
     backward,
     forward,
-    head_loss,
-    head_outputs,
     init_params,
     param_blocks,
-    _check_batch,
-    _rollout,
+    score,
 )
 from .optim import TrainConfig, clip_gradients, sgd_step
 
@@ -178,8 +175,9 @@ def evaluate(
 
     Chunks of ``chunk`` sequences bound the (T, B, D) input block built at a
     time and are the unit of work of the ``eval_threads()`` threads; their
-    results are summed in chunk order (see the module docstring). Targets
-    are checked as in ``forward``, so a label the head cannot score raises.
+    results are summed in chunk order (see the module docstring). Each
+    chunk runs ``network.score``, which checks targets as ``forward`` does,
+    so a label the head cannot score raises.
     """
     n = len(test_ds)
     starts = range(0, n, chunk)
@@ -188,7 +186,7 @@ def evaluate(
     take = threading.Lock()
     failed = False  # set under ``take``: chunks after a failure are never summed, so none is handed out
 
-    def score() -> None:
+    def score_chunks() -> None:
         nonlocal failed
         while True:
             with take:
@@ -197,26 +195,18 @@ def evaluate(
                 return
             try:
                 idx = np.arange(starts[i], min(starts[i] + chunk, n))
-                batch = test_ds.batch(idx)
-                _check_batch(spec, batch)
-                h_last, _ = _rollout(spec, params, batch.inputs, keep=False)
-                predictions = head_outputs(spec, head, h_last)
-                loss = head_loss(spec, predictions, batch.targets) * len(idx)
-                hits = 0
-                if spec.head == "softmax":
-                    hits = int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
-                scores[i] = (loss, hits)
+                scores[i] = score(spec, params, head, test_ds.batch(idx))
             except Exception as exc:  # raised in chunk order below
                 scores[i] = exc
                 with take:
                     failed = True
                 return
 
-    helpers = [threading.Thread(target=score) for _ in range(1, min(eval_threads(), len(starts)))]
+    helpers = [threading.Thread(target=score_chunks) for _ in range(1, min(eval_threads(), len(starts)))]
     for helper in helpers:
         helper.start()
     try:
-        score()
+        score_chunks()
     finally:
         for helper in helpers:
             helper.join()

@@ -6,10 +6,11 @@ scores it with mean squared error (regression) or cross-entropy (softmax
 classification), averaged over the batch. ``forward`` keeps the kernel's
 tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
 [h; x; 1], the (G*H, B) pre-activations or LSTM gate activations stacked
-i|f|o|g, and the LSTM cell states); ``evaluate`` and ``predict`` run the
-same kernel with reused scratch slots instead. ``backward`` injects the
-head's delta at h_T and runs the cell's backward kernel over the tape,
-which returns exact gradients for every parameter block.
+i|f|o|g, and the LSTM cell states); ``score``, which ``harness.evaluate``
+runs on every chunk, runs the same kernel with reused scratch slots
+instead. ``backward`` injects the head's delta at h_T and runs the cell's
+backward kernel over the tape, which returns exact gradients for every
+parameter block.
 
 Checkpoint format (little-endian throughout):
 
@@ -175,13 +176,10 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
             v, b = init_input_and_bias(std, h, d, rng)
         params: CellParams = RnnParams(W=w, V=v, b=b, activation=spec.activation)
     else:
-        triples = {}
-        for gate in ("i", "f", "o", "g"):
-            triples[f"W{gate}"] = rng.normal(0.0, std, size=(h, h))
-            triples[f"V{gate}"] = rng.normal(0.0, std, size=(h, d))
-            triples[f"b{gate}"] = np.zeros(h, dtype=np.float64)
-        triples["bf"] = np.full(h, float(spec.forget_bias), dtype=np.float64)
-        params = LstmParams(**triples)
+        blocks = {name: rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(h)
+                  for name, shape in LstmParams.shapes(h, d).items()}
+        blocks["bf"] = np.full(h, float(spec.forget_bias), dtype=np.float64)
+        params = LstmParams(**blocks)
     k = spec.head_dim
     u = rng.normal(0.0, std, size=(k, h))
     c = rng.normal(0.0, std, size=k) if std > 0 else np.zeros(k, dtype=np.float64)
@@ -195,55 +193,52 @@ def param_blocks(params: CellParams, head: HeadParams) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_batch(spec: ModelSpec, batch: SequenceBatch) -> None:
+def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch, keep: bool):
+    """Check the batch, run the cell kernel (taped when ``keep``, on scratch
+    slots otherwise) and score h_T; returns (mean loss, predictions, h_T, cell
+    tape). Predictions are (B,) scalars or (B, K) probabilities."""
+    targets = batch.targets
     if spec.head == "softmax":
-        labels = batch.targets
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ShapeError(f"softmax targets must be integer labels, got dtype {labels.dtype}")
-        if labels.min() < 0 or labels.max() >= spec.classes:
+        if not np.issubdtype(targets.dtype, np.integer):
+            raise ShapeError(f"softmax targets must be integer labels, got dtype {targets.dtype}")
+        if targets.min() < 0 or targets.max() >= spec.classes:
             raise ValueError(
-                f"labels must lie in [0, {spec.classes}), got range [{labels.min()}, {labels.max()}]"
+                f"labels must lie in [0, {spec.classes}), got range [{targets.min()}, {targets.max()}]"
             )
-
-
-def _rollout(spec: ModelSpec, params: CellParams, inputs: np.ndarray, keep: bool):
-    """Run the cell kernel over a (T, B, D) input block; returns (h_last, cell tape)."""
     kernel = rnn_forward if spec.cell == "rnn" else lstm_forward
-    return kernel(params, inputs, keep)
-
-
-def head_outputs(spec: ModelSpec, head: HeadParams, h_last: np.ndarray) -> np.ndarray:
-    """Predictions from a final hidden state: (B,) scalars or (B, K) probabilities."""
+    h_last, cell = kernel(params, batch.inputs, keep)
     logits = h_last @ head.U.T + head.c
     if spec.head == "regression":
-        return logits[:, 0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
-
-
-def head_loss(spec: ModelSpec, predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean loss over the batch: MSE for regression, cross-entropy for softmax."""
-    if spec.head == "regression":
+        predictions = logits[:, 0]
         residual = predictions - targets
         loss = float(np.mean(residual * residual))
     else:
-        b = predictions.shape[0]
-        picked = predictions[np.arange(b), targets]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expz = np.exp(shifted)
+        predictions = expz / expz.sum(axis=1, keepdims=True)
+        picked = predictions[np.arange(batch.size), targets]
         loss = float(-np.mean(np.log(picked)))
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
-    return loss
+    return loss, predictions, h_last, cell
 
 
 def forward(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> ForwardResult:
     """Full-sequence forward pass; returns (loss, predictions, tape)."""
-    _check_batch(spec, batch)
-    h_last, cell = _rollout(spec, params, batch.inputs, keep=True)
-    predictions = head_outputs(spec, head, h_last)
-    loss = head_loss(spec, predictions, batch.targets)
+    loss, predictions, h_last, cell = _run(spec, params, head, batch, keep=True)
     tape = Tape(spec=spec, cell=cell, h_last=h_last, predictions=predictions, batch=batch)
     return ForwardResult(loss, predictions, tape)
+
+
+def score(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> tuple[float, int]:
+    """Tape-free pass; returns the loss summed over the batch and the number of
+    lanes whose argmax class is the label (softmax; a tie goes to the lowest
+    class) or 0 (regression)."""
+    loss, predictions, _, _ = _run(spec, params, head, batch, keep=False)
+    hits = 0
+    if spec.head == "softmax":
+        hits = int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
+    return loss * batch.size, hits
 
 
 def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) -> Gradients:
@@ -280,19 +275,6 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
     return Gradients(blocks=blocks, dh0=dh, dh_last=dh_last)
 
 
-def predict(spec: ModelSpec, params: CellParams, head: HeadParams, inputs: np.ndarray) -> np.ndarray:
-    """Run the forward computation without a loss.
-
-    Returns scalar predictions (regression) or argmax class indices
-    (softmax; ties break toward the lowest class index).
-    """
-    h_last, _ = _rollout(spec, params, np.asarray(inputs), keep=False)
-    out = head_outputs(spec, head, h_last)
-    if spec.head == "regression":
-        return out
-    return np.argmax(out, axis=1)
-
-
 _SPEC_STRUCT = struct.Struct("<8sqqqqqqqddd")
 _CELL_CODES = {"rnn": 0, "lstm": 1}
 _ACT_CODES = {"relu": 0, "tanh": 1, "linear": 2}
@@ -302,10 +284,9 @@ _INIT_CODES = {None: 0, "identity": 1, "iscale": 2, "gauss": 3}
 
 def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Every block's shape, in checkpoint order: the cell's (W, V, b) per gate, then U, c."""
-    h, d, k = spec.hidden, spec.input_dim, spec.head_dim
-    gates = (RnnParams if spec.cell == "rnn" else LstmParams).gates
-    kinds = {"W": (h, h), "V": (h, d), "b": (h,)}
-    return {**{f"{kind}{g}": kinds[kind] for g in gates for kind in "WVb"}, "U": (k, h), "c": (k,)}
+    h, k = spec.hidden, spec.head_dim
+    cell = RnnParams if spec.cell == "rnn" else LstmParams
+    return {**cell.shapes(h, spec.input_dim), "U": (k, h), "c": (k,)}
 
 
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:

@@ -185,16 +185,9 @@ def save_permutation(perm: np.ndarray, path) -> None:
     Path(path).write_text("".join(f"{int(i)}\n" for i in perm), encoding="ascii")
 
 
-def load_permutation(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii").split()
-    perm = np.array([int(tok) for tok in text], dtype=np.int64)
-    _validate_permutation(perm, len(perm), path)
-    return perm
-
-
-def _validate_permutation(perm: np.ndarray, n: int, origin="permutation") -> None:
+def _validate_permutation(perm: np.ndarray, n: int) -> None:
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError(f"{origin}: not a bijection on 0..{n - 1}")
+        raise ValueError(f"permutation: not a bijection on 0..{n - 1}")
 
 
 @dataclass

@@ -54,6 +54,22 @@ def random_lstm(rng, h, d, scale=1.0):
     return LstmParams(**{k: rng.normal(0, scale, size=v.shape) for k, v in zero_lstm(h, d=d).blocks().items()})
 
 
+class TestBlockShapes:
+    @pytest.mark.parametrize("cell", [RnnParams, LstmParams])
+    def test_blocks_follow_the_shape_table(self, cell):
+        # checkpoints write the blocks in ``shapes`` order
+        params = cell(**{name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()})
+        assert [(name, a.shape) for name, a in params.blocks().items()] == list(cell.shapes(3, 2).items())
+
+    @pytest.mark.parametrize("cell,name", [(RnnParams, "W"), (RnnParams, "V"), (RnnParams, "b"),
+                                           (LstmParams, "Vf"), (LstmParams, "bo")])
+    def test_misshaped_block_rejected(self, cell, name):
+        blocks = {name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()}
+        blocks[name] = np.zeros(blocks[name].shape + (1,))
+        with pytest.raises(ShapeError):
+            cell(**blocks)
+
+
 class TestRnnStep:
     def test_identity_carries_state(self):
         # step 0 loads [1, 2] through V; the identity carries it through step 1

@@ -138,11 +138,15 @@ class ThreadSpy:
 
 
 class ChunkLog:
-    """A dataset wrapper that records the first sequence of every batch taken and
-    delays each batch without sequence 0, so the chunk-0 thread finishes first."""
+    """A dataset wrapper that records the first sequence of every batch taken, holds
+    each of the first ``threads`` batches until all of them are taken, so every thread
+    has a chunk before chunk 0 can fail, and delays each batch without sequence 0, so
+    the chunk-0 thread finishes first."""
 
-    def __init__(self, ds):
+    def __init__(self, ds, threads):
         self.ds = ds
+        self.threads = threads
+        self.barrier = threading.Barrier(threads, timeout=20)
         self.taken = []
 
     def __len__(self):
@@ -150,6 +154,8 @@ class ChunkLog:
 
     def batch(self, idx):
         self.taken.append(int(idx[0]))
+        if len(self.taken) <= self.threads:
+            self.barrier.wait()
         if idx[0] != 0:
             time.sleep(0.5)
         return self.ds.batch(idx)
@@ -313,7 +319,7 @@ class TestEvaluate:
         ds.signal[0, 1] = np.nan
         params, head = init_params(ADDING_SPEC, make_rng(45))
         force_eval_threads(threads)
-        log = ChunkLog(ds)
+        log = ChunkLog(ds, threads)
         with pytest.raises(DivergenceError, match=r"at step 1$"):
             evaluate(ADDING_SPEC, params, head, log, chunk=1000)
         assert sorted(log.taken) == [1000 * i for i in range(threads)]

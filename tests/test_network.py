@@ -17,11 +17,10 @@ from irnnlab import (
     load_checkpoint,
     make_rng,
     param_blocks,
-    predict,
     save_checkpoint,
 )
 from irnnlab.harness import evaluate
-from irnnlab.network import CHECKPOINT_MAGIC
+from irnnlab.network import CHECKPOINT_MAGIC, score
 
 
 def zero_model(h=3, d=2, head="regression", classes=0, activation="relu", t=1):
@@ -170,13 +169,12 @@ class TestDivergenceLocalisation:
     fed in at step 37 reaches h and c at step 37."""
 
     @pytest.mark.parametrize("model,step", [(_tenfold_linear_model, 100), (_lstm_with_nan_input, 37)])
-    @pytest.mark.parametrize("path", ["forward", "predict", "evaluate"])
+    @pytest.mark.parametrize("path", ["forward", "evaluate"])
     def test_names_first_bad_step(self, model, step, path):
         spec, params, head, inputs = model()
         batch = SequenceBatch(inputs=inputs, targets=np.zeros(inputs.shape[1]))
         run = {
             "forward": lambda: forward(spec, params, head, batch),
-            "predict": lambda: predict(spec, params, head, inputs),
             "evaluate": lambda: evaluate(spec, params, head, _FixedDataset(batch)),
         }[path]
         with pytest.raises(DivergenceError, match=rf"at step {step}$"):
@@ -247,33 +245,29 @@ class TestBackward:
             backward(other_spec, params, head, tape)
 
 
-class TestPredict:
-    def test_softmax_tie_breaks_to_lowest_class(self):
-        spec, params, head = zero_model(head="softmax", classes=10)
-        got = predict(spec, params, head, np.zeros((3, 2, 2)))
-        assert np.array_equal(got, [0, 0])
-
-    def test_regression_zero_params(self):
-        spec, params, head = zero_model()
-        assert np.array_equal(predict(spec, params, head, np.zeros((2, 3, 2))), np.zeros(3))
-
-    def test_deterministic(self):
-        rng = make_rng(18)
-        spec = ModelSpec(cell="rnn", hidden=4, input_dim=2, head="softmax", classes=3, activation="relu",
-                         init=InitScheme("gauss", 0.5))
-        params, head = init_params(spec, rng)
-        inputs = rng.normal(size=(6, 5, 2))
-        assert np.array_equal(predict(spec, params, head, inputs), predict(spec, params, head, inputs))
-
-    def test_matches_forward_argmax(self):
+class TestScore:
+    @pytest.mark.parametrize("head", ["regression", "softmax"])
+    @pytest.mark.parametrize("cell", ["rnn", "lstm"])
+    def test_matches_forward(self, cell, head):
+        # the tape-free pass sums forward's mean loss over the lanes bit for bit and
+        # counts the lanes whose argmax of forward's probabilities is the label
         rng = make_rng(19)
-        spec = ModelSpec(cell="lstm", hidden=4, input_dim=2, head="softmax", classes=6)
-        params, head = init_params(spec, rng)
-        params.Wg += rng.normal(0, 0.4, params.Wg.shape)
-        inputs = rng.normal(size=(5, 8, 2))
-        batch = SequenceBatch(inputs=inputs, targets=rng.integers(0, 6, 8))
-        _, probs, _ = forward(spec, params, head, batch)
-        assert np.array_equal(predict(spec, params, head, inputs), np.argmax(probs, axis=1))
+        spec = ModelSpec(cell=cell, hidden=4, input_dim=2, head=head, classes=6 if head == "softmax" else 0,
+                         activation="tanh", init=InitScheme("gauss", 0.5), input_init_std=0.5)
+        params, head_params = init_params(spec, rng)
+        targets = rng.integers(0, 6, 8) if head == "softmax" else rng.normal(size=8)
+        batch = SequenceBatch(inputs=rng.normal(size=(5, 8, 2)), targets=targets)
+        loss, predictions, _ = forward(spec, params, head_params, batch)
+        hits = int(np.sum(np.argmax(predictions, axis=1) == targets)) if head == "softmax" else 0
+        assert score(spec, params, head_params, batch) == (loss * 8, hits)
+
+    def test_all_zero_logits_count_as_class_0(self):
+        # a tie goes to the lowest class
+        spec, params, head = zero_model(head="softmax", classes=10)
+        batch = SequenceBatch(inputs=np.zeros((3, 4, 2)), targets=np.array([0, 3, 0, 9]))
+        loss, hits = score(spec, params, head, batch)
+        assert hits == 2
+        assert loss == pytest.approx(4 * math.log(10), rel=1e-15)
 
 
 class TestInitParams:

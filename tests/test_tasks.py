@@ -9,7 +9,6 @@ from irnnlab.tasks import (
     REPORTED_CONSTANT_BASELINE_MSE,
     DataFormatError,
     MnistSeqDataset,
-    load_permutation,
     prepare_pixel_sequences,
     save_permutation,
 )
@@ -339,7 +338,10 @@ class TestPermutation:
         assert not np.array_equal(make_permutation(784, 0), make_permutation(784, 1))
 
     def test_save_load_round_trip(self, tmp_path):
+        # the README format: one decimal index per line, read back by parsing the lines
         perm = make_permutation(49, 5)
         path = tmp_path / "perm.txt"
         save_permutation(perm, path)
-        assert np.array_equal(load_permutation(path), perm)
+        raw = path.read_bytes()
+        assert raw == b"".join(b"%d\n" % i for i in perm)
+        assert np.array_equal(np.array(raw.decode("ascii").splitlines(), dtype=np.int64), perm)
