@@ -142,12 +142,6 @@ def _add_model_flags(p, train: bool) -> None:
     p.add_argument("--downsample", type=int, help="average-pool images to this side (mnist only)")
 
 
-def _reject_mnist_flags(args, applies_to: str) -> None:
-    for flag, value in (("--permute-seed", args.permute_seed), ("--downsample", args.downsample)):
-        if value is not None:
-            raise UsageError(f"{flag} only applies to {applies_to}")
-
-
 def _resolve_model(args) -> ModelSpec:
     """Validate flag combinations and produce the ModelSpec."""
     forget_bias = getattr(args, "forget_bias", None)  # grid-search has no --forget-bias
@@ -161,8 +155,6 @@ def _resolve_model(args) -> ModelSpec:
             raise UsageError(f"{' and '.join(conflicts)} only apply to --cell rnn")
     elif forget_bias is not None:
         raise UsageError("--forget-bias only applies to --cell lstm")
-    if args.task == "adding":
-        _reject_mnist_flags(args, "--task mnist")
 
     activation = args.activation or "relu"
     if args.cell == "rnn":
@@ -192,22 +184,26 @@ def _resolve_model(args) -> ModelSpec:
     )
 
 
-def _load_datasets(args):
-    """Datasets for training plus the permutation actually applied (or None)."""
+# --data usage by (model head, number of sets); a set is one ADDP file or an IDX images/labels pair
+_DATA_USAGE = {
+    ("regression", 2): "--task adding needs --data TRAIN.addp TEST.addp",
+    ("softmax", 2): "--task mnist needs --data TRAIN_IMAGES TRAIN_LABELS TEST_IMAGES TEST_LABELS",
+    ("regression", 1): "regression checkpoints need --data TEST.addp",
+    ("softmax", 1): "softmax checkpoints need --data TEST_IMAGES TEST_LABELS",
+}
+
+
+def _load_sets(args, head: str, count: int) -> tuple:
+    """The ``count`` data sets that --data names for a ``head`` model, then the permutation applied
+    (or None). Pixel sets are average-pooled to --downsample and permuted by --permute-seed."""
     paths = [Path(p) for p in args.data]
-    if args.task == "adding":
-        if len(paths) != 2:
-            raise UsageError("--task adding needs --data TRAIN.addp TEST.addp")
-        return tasks.load_adding(paths[0]), tasks.load_adding(paths[1]), None
-    if len(paths) != 4:
-        raise UsageError(
-            "--task mnist needs --data TRAIN_IMAGES TRAIN_LABELS TEST_IMAGES TEST_LABELS"
-        )
-    return _load_pixel_sequences(paths, args)
-
-
-def _load_pixel_sequences(paths, args) -> tuple:
-    """One pixel-sequence dataset per (images, labels) IDX pair, then the permutation applied (or None)."""
+    if len(paths) != count * (1 if head == "regression" else 2):
+        raise UsageError(_DATA_USAGE[head, count])
+    if head == "regression":
+        for flag, value in (("--permute-seed", args.permute_seed), ("--downsample", args.downsample)):
+            if value is not None:
+                raise UsageError(f"{flag} only applies to pixel-MNIST data, not to ADDP files")
+        return (*map(tasks.load_adding, paths), None)
     raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
     if raws[-1].side != raws[0].side:
         raise DataFormatError(
@@ -307,6 +303,29 @@ def _replay_manifest(args) -> None:
             raise ValueError(f"data file {data_path} changed since the manifest (sha256 {actual} != {digest})")
 
 
+def _set_up(args, lr: float, clip: float, max_steps: int) -> tuple:
+    """The set-up that train and grid-search share: resolve the model, load the train and test
+    sets, build the TrainConfig, create --out-dir and write its manifest. Returns
+    (spec, config, train set, test set, permutation or None, output directory)."""
+    if args.eval_every is None:
+        args.eval_every = DEFAULT_EVAL_EVERY[args.task]
+
+    spec = _resolve_model(args)
+    train_ds, test_ds, perm = _load_sets(args, spec.head, 2)
+    cfg = TrainConfig(
+        lr=lr,
+        clip=clip,
+        max_steps=max_steps,
+        eval_every=args.eval_every,
+        batch_size=args.batch,
+        seed=args.seed,
+    )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out_dir, args.command, _manifest_flags(args), args.data)
+    return spec, cfg, train_ds, test_ds, perm, out_dir
+
+
 def cmd_train(args) -> int:
     if args.manifest is not None:
         _replay_manifest(args)
@@ -315,22 +334,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} is required (or use --manifest)")
     if args.steps is None:
         args.steps = DEFAULT_STEPS[args.task]
-    if args.eval_every is None:
-        args.eval_every = DEFAULT_EVAL_EVERY[args.task]
-
-    spec = _resolve_model(args)
-    train_ds, test_ds, perm = _load_datasets(args)
-    cfg = TrainConfig(
-        lr=args.lr,
-        clip=args.clip,
-        max_steps=args.steps,
-        eval_every=args.eval_every,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "train", _manifest_flags(args), args.data)
+    spec, cfg, train_ds, test_ds, perm, out_dir = _set_up(args, args.lr, args.clip, args.steps)
     if perm is not None:
         tasks.save_permutation(perm, out_dir / "permutation.txt")
 
@@ -353,9 +357,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    if args.eval_every is None:
-        args.eval_every = DEFAULT_EVAL_EVERY[args.task]
-    spec = _resolve_model(args)
     grid = harness.GridSpec(
         lrs=tuple(_parse_float_list("--lrs", args.lrs)),
         clips=tuple(_parse_float_list("--clips", args.clips)),
@@ -363,18 +364,8 @@ def cmd_grid_search(args) -> int:
     )
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    train_ds, test_ds, _ = _load_datasets(args)
-    budget = TrainConfig(
-        lr=1.0,  # placeholder; each cell overrides lr/clip
-        clip=1.0,
-        max_steps=args.steps_per_cell,
-        eval_every=args.eval_every,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "grid-search", _manifest_flags(args), args.data)
+    # lr and clip are placeholders; each cell sets its own
+    spec, budget, train_ds, test_ds, _, out_dir = _set_up(args, 1.0, 1.0, args.steps_per_cell)
     ranked = harness.grid_search(
         spec, grid, budget, train_ds, test_ds, out_dir, workers=args.workers
     )
@@ -386,16 +377,7 @@ def cmd_grid_search(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, params, head = load_checkpoint(args.checkpoint)
-    paths = [Path(p) for p in args.data]
-    if spec.head == "regression":
-        if len(paths) != 1:
-            raise UsageError("regression checkpoints need --data TEST.addp")
-        _reject_mnist_flags(args, "softmax (mnist) checkpoints")
-        ds = tasks.load_adding(paths[0])
-    else:
-        if len(paths) != 2:
-            raise UsageError("softmax checkpoints need --data TEST_IMAGES TEST_LABELS")
-        ds, _ = _load_pixel_sequences(paths, args)
+    ds, _ = _load_sets(args, spec.head, 1)
     loss, metric = harness.evaluate(spec, params, head, ds)
     metric_name = "rmse" if spec.head == "regression" else "accuracy"
     print(f"test_loss {loss!r} {metric_name} {metric!r}")

@@ -11,6 +11,7 @@ recipe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown init scheme {self.kind!r}; expected one of {_KINDS}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.kind} parameter must be finite, got {self.value}")
         if self.kind == "iscale" and not self.value > 0:
             raise ValueError(f"iscale scale must be > 0, got {self.value}")
         if self.kind == "gauss" and self.value < 0:

@@ -85,8 +85,10 @@ class ModelSpec:
             raise ValueError(f"softmax head needs classes >= 2, got {self.classes}")
         if self.cell == "rnn" and self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.input_init_std < 0:
-            raise ValueError(f"input_init_std must be >= 0, got {self.input_init_std}")
+        if not 0 <= self.input_init_std < math.inf:
+            raise ValueError(f"input_init_std must be finite and >= 0, got {self.input_init_std}")
+        if not math.isfinite(self.forget_bias):
+            raise ValueError(f"forget_bias must be finite, got {self.forget_bias}")
 
     @property
     def head_dim(self) -> int:
@@ -165,14 +167,10 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
     """
     h, d, std = spec.hidden, spec.input_dim, spec.input_init_std
     if spec.cell == "rnn":
-        if spec.init is None:
-            if spec.activation == "tanh":
-                w, v, b = init_tanh_baseline(h, d, rng)
-            else:
-                w = rng.normal(0.0, std, size=(h, h))
-                v, b = init_input_and_bias(std, h, d, rng)
+        if spec.init is None and spec.activation == "tanh":
+            w, v, b = init_tanh_baseline(h, d, rng)
         else:
-            w = init_recurrent(spec.init, h, rng)
+            w = init_recurrent(spec.init or InitScheme("gauss", std), h, rng)
             v, b = init_input_and_bias(std, h, d, rng)
         params: CellParams = RnnParams(W=w, V=v, b=b, activation=spec.activation)
     else:
@@ -275,11 +273,21 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
     return Gradients(blocks=blocks, dh0=dh, dh_last=dh_last)
 
 
-_SPEC_STRUCT = struct.Struct("<8sqqqqqqqddd")
-_CELL_CODES = {"rnn": 0, "lstm": 1}
-_ACT_CODES = {"relu": 0, "tanh": 1, "linear": 2}
-_HEAD_CODES = {"regression": 0, "softmax": 1}
-_INIT_CODES = {None: 0, "identity": 1, "iscale": 2, "gauss": 3}
+# The header after the magic, in file order: (field, struct code, names by code).
+# Field k sits at offset 8 + 8k; a field with names stores its name's index there.
+_HEADER = (
+    ("cell", "q", ("rnn", "lstm")),
+    ("activation", "q", ("relu", "tanh", "linear")),
+    ("hidden", "q", None),
+    ("input_dim", "q", None),
+    ("head", "q", ("regression", "softmax")),
+    ("classes", "q", None),
+    ("init kind", "q", (None, "identity", "iscale", "gauss")),
+    ("init value", "d", None),
+    ("input_init_std", "d", None),
+    ("forget_bias", "d", None),
+)
+_SPEC_STRUCT = struct.Struct("<8s" + "".join(code for _, code, _ in _HEADER))
 
 
 def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
@@ -291,19 +299,15 @@ def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:
     """Write spec and parameters in the flat binary format documented above."""
-    init_kind = None if spec.init is None else spec.init.kind
+    fields = {
+        **vars(spec),
+        "activation": spec.activation if spec.cell == "rnn" else "relu",
+        "init kind": None if spec.init is None else spec.init.kind,
+        "init value": 0.0 if spec.init is None else spec.init.value,
+    }
     header = _SPEC_STRUCT.pack(
         CHECKPOINT_MAGIC,
-        _CELL_CODES[spec.cell],
-        _ACT_CODES[spec.activation] if spec.cell == "rnn" else 0,
-        spec.hidden,
-        spec.input_dim,
-        _HEAD_CODES[spec.head],
-        spec.classes,
-        _INIT_CODES[init_kind],
-        0.0 if spec.init is None else spec.init.value,
-        spec.input_init_std,
-        spec.forget_bias,
+        *(fields[field] if names is None else names.index(fields[field]) for field, _, names in _HEADER),
     )
     blocks = param_blocks(params, head)
     with open(path, "wb") as fh:
@@ -312,43 +316,27 @@ def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams)
             fh.write(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes())
 
 
-def _decode(path, field: str, offset: int, codes: dict, code: int):
-    for name, value in codes.items():
-        if value == code:
-            return name
-    raise ValueError(f"{path}: unknown {field} code {code} at offset {offset}")
-
-
 def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
     """Read a checkpoint back (see the module docstring); values round-trip bit-identically."""
     with open(path, "rb") as fh:
         header = fh.read(_SPEC_STRUCT.size)
         if len(header) < _SPEC_STRUCT.size or header[:8] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic or truncated header)")
-        (_, cell_c, act_c, hidden, input_dim, head_c, classes, init_c, init_val, input_std, fb) = (
-            _SPEC_STRUCT.unpack(header)
-        )
-        cell = _decode(path, "cell", 8, _CELL_CODES, cell_c)
-        activation = _decode(path, "activation", 16, _ACT_CODES, act_c)
-        head_kind = _decode(path, "head", 40, _HEAD_CODES, head_c)
-        init_kind = _decode(path, "init kind", 56, _INIT_CODES, init_c)
-        scheme = None if init_kind is None else InitScheme(init_kind, init_val)
-        spec = ModelSpec(
-            cell=cell,
-            hidden=int(hidden),
-            input_dim=int(input_dim),
-            head=head_kind,
-            activation=activation,
-            classes=int(classes),
-            init=scheme,
-            input_init_std=input_std,
-            forget_bias=fb,
-        )
+        fields = {}
+        for k, ((field, _, names), value) in enumerate(zip(_HEADER, _SPEC_STRUCT.unpack(header)[1:])):
+            offset = 8 + 8 * k
+            if names is not None and not 0 <= value < len(names):
+                raise ValueError(f"{path}: unknown {field} code {value} at offset {offset}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite {field} {value} at offset {offset}")
+            fields[field] = value if names is None else names[value]
+        kind, value = fields.pop("init kind"), fields.pop("init value")
+        spec = ModelSpec(**fields, init=None if kind is None else InitScheme(kind, value))
         shapes = _block_shapes(spec)
         sizes = [math.prod(shape) for shape in shapes.values()]
         payload = read_payload(fh, path, _SPEC_STRUCT.size, (sum(sizes),), "<f8")
     parts = np.split(payload, np.cumsum(sizes)[:-1])
     blocks = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
     head = HeadParams(U=blocks.pop("U"), c=blocks.pop("c"))
-    params: CellParams = RnnParams(**blocks, activation=activation) if cell == "rnn" else LstmParams(**blocks)
+    params: CellParams = RnnParams(**blocks, activation=spec.activation) if spec.cell == "rnn" else LstmParams(**blocks)
     return spec, params, head

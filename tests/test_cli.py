@@ -232,6 +232,23 @@ class TestTrain:
         assert run_cli("train", "--manifest", str(bad), "--out-dir", str(tmp_path / "replay")) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--init", "gauss:inf"], "gauss parameter must be finite, got inf"),
+        (["--init", "gauss:nan"], "gauss parameter must be finite, got nan"),
+        (["--init", "iscale:inf"], "iscale parameter must be finite, got inf"),
+        (["--input-init-std", "nan"], "input_init_std must be finite and >= 0, got nan"),
+        (["--cell", "lstm", "--forget-bias", "nan"], "forget_bias must be finite, got nan"),
+    ], ids=["gauss-inf", "gauss-nan", "iscale-inf", "input-init-std-nan", "lstm-forget-bias-nan"])
+    def test_non_finite_model_float_exits_2(self, adding_files, tmp_path, capsys, flags, message):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", *flags, "--hidden", "4",
+                       "--lr", "0.05", "--clip", "1", "--steps", "5",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_divergent_run_exits_3(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--activation", "linear",
@@ -321,6 +338,64 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(test_file)) == 2
         assert "unknown cell code 7 at offset 8" in capsys.readouterr().err
+
+
+class TestDataReader:
+    """``train``, ``grid-search`` and ``eval`` read --data through one reader."""
+
+    @pytest.fixture
+    def checkpoints(self, adding_files, synthetic_mnist, tmp_path):
+        """A regression and a softmax checkpoint, trained for 0 steps."""
+        train_file, test_file = adding_files
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = {}
+        for head, task, data in (("regression", "adding", [train_file, test_file]),
+                                 ("softmax", "mnist", [img_path, lab_path, img_path, lab_path])):
+            out[head] = tmp_path / head / "checkpoint.irnn"
+            assert run_cli("train", "--task", task, "--cell", "rnn", "--hidden", "4", "--lr", "0.05",
+                           "--clip", "1", "--steps", "0", "--data", *map(str, data),
+                           "--out-dir", str(out[head].parent)) == 0
+        return out
+
+    @pytest.mark.parametrize("command, count, message", [
+        ("train-adding", 1, "--task adding needs --data TRAIN.addp TEST.addp"),
+        ("train-adding", 3, "--task adding needs --data TRAIN.addp TEST.addp"),
+        ("train-mnist", 2, "--task mnist needs --data TRAIN_IMAGES TRAIN_LABELS TEST_IMAGES TEST_LABELS"),
+        ("grid-search", 4, "--task adding needs --data TRAIN.addp TEST.addp"),
+        ("eval-regression", 2, "regression checkpoints need --data TEST.addp"),
+        ("eval-softmax", 1, "softmax checkpoints need --data TEST_IMAGES TEST_LABELS"),
+        ("eval-softmax", 4, "softmax checkpoints need --data TEST_IMAGES TEST_LABELS"),
+    ])
+    def test_wrong_file_count_exits_1(self, checkpoints, adding_files, tmp_path, capsys,
+                                      command, count, message):
+        data = [str(adding_files[0])] * count
+        out = tmp_path / "out"
+        args = {
+            "train-adding": ["train", "--task", "adding", "--cell", "rnn", "--lr", "0.1", "--clip", "1",
+                             "--out-dir", str(out)],
+            "train-mnist": ["train", "--task", "mnist", "--cell", "rnn", "--lr", "0.1", "--clip", "1",
+                            "--out-dir", str(out)],
+            "grid-search": ["grid-search", "--task", "adding", "--cell", "rnn", "--steps-per-cell", "1",
+                            "--out-dir", str(out)],
+            "eval-regression": ["eval", "--checkpoint", str(checkpoints["regression"])],
+            "eval-softmax": ["eval", "--checkpoint", str(checkpoints["softmax"])],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*args, "--data", *data) == 1
+        assert f"irnnlab: error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--permute-seed", "--downsample"])
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_mnist_flags_on_adding_data_exit_1(self, adding_files, tmp_path, capsys, command, flag):
+        train_file, test_file = adding_files
+        out = tmp_path / "out"
+        budget = ["--lr", "0.1", "--clip", "1", "--steps", "1"] if command == "train" else ["--steps-per-cell", "1"]
+        assert run_cli(command, "--task", "adding", "--cell", "rnn", *budget, flag, "7",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGridSearchCli:

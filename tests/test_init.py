@@ -25,6 +25,12 @@ class TestScheme:
         with pytest.raises(ValueError):
             InitScheme("gauss", -0.1)
 
+    @pytest.mark.parametrize("kind", ["iscale", "gauss"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_parameter_rejected(self, kind, value):
+        with pytest.raises(ValueError, match=f"{kind} parameter must be finite"):
+            InitScheme(kind, value)
+
     def test_str_round_trips(self):
         for text in ("identity", "iscale:0.01", "gauss:0.001"):
             assert parse_scheme(str(parse_scheme(text))) == parse_scheme(text)

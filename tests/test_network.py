@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -289,6 +290,13 @@ class TestInitParams:
         params, _ = init_params(spec, make_rng(3))
         assert np.max(np.abs(params.W)) < 0.006
 
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_baseline_recurrent_draw_is_gaussian_input_std(self, activation):
+        spec = ModelSpec(cell="rnn", hidden=6, input_dim=2, head="regression", activation=activation,
+                         input_init_std=0.003)
+        params, _ = init_params(spec, make_rng(8))
+        assert np.array_equal(params.W, make_rng(8).normal(0.0, 0.003, size=(6, 6)))
+
     def test_lstm_forget_bias_constant(self):
         spec = ModelSpec(cell="lstm", hidden=8, input_dim=2, head="regression", forget_bias=4.0)
         params, _ = init_params(spec, make_rng(4))
@@ -361,6 +369,44 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"unknown {field} code 7 at offset {offset}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,offset", [("cell", 8), ("activation", 16), ("head", 40), ("init kind", 56)])
+    def test_negative_header_code_rejected(self, tmp_path, field, offset):
+        spec, params, head = zero_model()
+        path = tmp_path / "model.irnn"
+        save_checkpoint(path, spec, params, head)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = struct.pack("<q", -1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"unknown {field} code -1 at offset {offset}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,offset", [("init value", 64), ("input_init_std", 72), ("forget_bias", 80)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_header_float_rejected(self, tmp_path, field, offset, value):
+        spec, params, head = zero_model()
+        path = tmp_path / "model.irnn"
+        save_checkpoint(path, spec, params, head)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"non-finite {field} {value} at offset {offset}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec,fields", [
+        (ModelSpec(cell="rnn", hidden=5, input_dim=1, head="softmax", classes=10,
+                   init=InitScheme("iscale", 0.01)),
+         (0, 0, 5, 1, 1, 10, 2, 0.01, 0.001, 1.0)),
+        (ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression", forget_bias=20.0),
+         (1, 0, 4, 2, 0, 0, 0, 0.0, 0.001, 20.0)),
+    ], ids=["rnn-iscale-softmax", "lstm-forget-bias-20"])
+    def test_header_bytes_pinned(self, tmp_path, spec, fields):
+        # (cell, activation, hidden, input_dim, head, classes, init kind, init value,
+        #  input_init_std, forget_bias), as the README lists them
+        params, head = init_params(spec, make_rng(0))
+        path = tmp_path / "model.irnn"
+        save_checkpoint(path, spec, params, head)
+        assert path.read_bytes()[:88] == struct.pack("<8sqqqqqqqddd", b"IRNN0001", *fields)
+
 
 class TestModelSpecValidation:
     def test_rejects_bad_cell(self):
@@ -374,3 +420,9 @@ class TestModelSpecValidation:
     def test_rejects_zero_hidden(self):
         with pytest.raises(ValueError):
             ModelSpec(cell="rnn", hidden=0, input_dim=2, head="regression")
+
+    @pytest.mark.parametrize("field", ["input_init_std", "forget_bias"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression", **{field: value})
