@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .cells import LstmParams, RnnParams
 from .gradcheck import GradReport, check_model, numeric_gradient
 from .harness import GridSpec, TrainResult, evaluate, grid_search, train
-from .init import InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline, parse_scheme
+from .init import InitScheme, parse_scheme
 from .ndcore import DivergenceError, Rng, ShapeError, make_rng
 from .network import (
     Gradients,
@@ -62,10 +62,7 @@ __all__ = [
     "forward",
     "gen_adding",
     "grid_search",
-    "init_input_and_bias",
     "init_params",
-    "init_recurrent",
-    "init_tanh_baseline",
     "load_adding",
     "load_checkpoint",
     "load_mnist",

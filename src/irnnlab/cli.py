@@ -1,10 +1,12 @@
 """Command-line entry point: dataset generation, training, evaluation, grid search.
 
-Commands: ``gen-adding``, ``train``, ``eval``, ``grid-search``, ``gradcheck``,
-``make-perm``. Every run directory receives a ``manifest.json`` echoing the
-resolved flags plus SHA-256 checksums of the input data files; ``train
---manifest FILE`` replays a previous run exactly (only ``--out-dir`` may be
-overridden).
+Commands: ``gen-adding``, ``train``, ``eval``, ``grid-search``, ``gradcheck``.
+Every run directory receives a ``manifest.json`` echoing the resolved flags
+plus SHA-256 checksums of the input data files; ``train --manifest FILE``
+replays a previous run exactly (only ``--out-dir`` may be overridden). Its
+``permute_seed`` and ``downsample`` flags record a pixel-MNIST run's
+permutation and pooling; ``eval --permute-seed S --downsample D`` re-applies
+them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error (including a
 failed gradcheck bound), 3 divergence (train only).
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +66,8 @@ def _parse_float_list(flag: str, text: str) -> list[float]:
         raise UsageError(f"{flag}: empty list {text!r}")
     if any(not v > 0 for v in values):
         raise UsageError(f"{flag}: list values must be positive, got {text!r}")
+    if math.inf in values:
+        raise UsageError(f"{flag}: list values must be finite, got {text!r}")
     return values
 
 
@@ -116,12 +121,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--forget-bias", type=float)
     p.set_defaults(handler=cmd_gradcheck)
-
-    p = sub.add_parser("make-perm", help="write a fixed pixel permutation")
-    p.add_argument("--side", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_make_perm)
 
     return parser
 
@@ -193,9 +192,9 @@ _DATA_USAGE = {
 }
 
 
-def _load_sets(args, head: str, count: int) -> tuple:
-    """The ``count`` data sets that --data names for a ``head`` model, then the permutation applied
-    (or None). Pixel sets are average-pooled to --downsample and permuted by --permute-seed."""
+def _load_sets(args, head: str, count: int) -> list:
+    """The ``count`` data sets that --data names for a ``head`` model. Pixel sets are
+    average-pooled to --downsample and permuted by --permute-seed."""
     paths = [Path(p) for p in args.data]
     if len(paths) != count * (1 if head == "regression" else 2):
         raise UsageError(_DATA_USAGE[head, count])
@@ -203,7 +202,7 @@ def _load_sets(args, head: str, count: int) -> tuple:
         for flag, value in (("--permute-seed", args.permute_seed), ("--downsample", args.downsample)):
             if value is not None:
                 raise UsageError(f"{flag} only applies to pixel-MNIST data, not to ADDP files")
-        return (*map(tasks.load_adding, paths), None)
+        return [tasks.load_adding(path) for path in paths]
     raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
     if raws[-1].side != raws[0].side:
         raise DataFormatError(
@@ -214,8 +213,7 @@ def _load_sets(args, head: str, count: int) -> tuple:
     perm = None
     if args.permute_seed is not None:
         perm = tasks.make_permutation(side * side, args.permute_seed)
-    datasets = [tasks.prepare_pixel_sequences(raw, perm, args.downsample) for raw in raws]
-    return (*datasets, perm)
+    return [tasks.prepare_pixel_sequences(raw, perm, args.downsample) for raw in raws]
 
 
 def _write_manifest(out_dir: Path, command: str, flags: dict, data_paths) -> None:
@@ -306,12 +304,12 @@ def _replay_manifest(args) -> None:
 def _set_up(args, lr: float, clip: float, max_steps: int) -> tuple:
     """The set-up that train and grid-search share: resolve the model, load the train and test
     sets, build the TrainConfig, create --out-dir and write its manifest. Returns
-    (spec, config, train set, test set, permutation or None, output directory)."""
+    (spec, config, train set, test set, output directory)."""
     if args.eval_every is None:
         args.eval_every = DEFAULT_EVAL_EVERY[args.task]
 
     spec = _resolve_model(args)
-    train_ds, test_ds, perm = _load_sets(args, spec.head, 2)
+    train_ds, test_ds = _load_sets(args, spec.head, 2)
     cfg = TrainConfig(
         lr=lr,
         clip=clip,
@@ -323,7 +321,7 @@ def _set_up(args, lr: float, clip: float, max_steps: int) -> tuple:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, args.command, _manifest_flags(args), args.data)
-    return spec, cfg, train_ds, test_ds, perm, out_dir
+    return spec, cfg, train_ds, test_ds, out_dir
 
 
 def cmd_train(args) -> int:
@@ -334,9 +332,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} is required (or use --manifest)")
     if args.steps is None:
         args.steps = DEFAULT_STEPS[args.task]
-    spec, cfg, train_ds, test_ds, perm, out_dir = _set_up(args, args.lr, args.clip, args.steps)
-    if perm is not None:
-        tasks.save_permutation(perm, out_dir / "permutation.txt")
+    spec, cfg, train_ds, test_ds, out_dir = _set_up(args, args.lr, args.clip, args.steps)
 
     def log(row):
         print(
@@ -365,7 +361,7 @@ def cmd_grid_search(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     # lr and clip are placeholders; each cell sets its own
-    spec, budget, train_ds, test_ds, _, out_dir = _set_up(args, 1.0, 1.0, args.steps_per_cell)
+    spec, budget, train_ds, test_ds, out_dir = _set_up(args, 1.0, 1.0, args.steps_per_cell)
     ranked = harness.grid_search(
         spec, grid, budget, train_ds, test_ds, out_dir, workers=args.workers
     )
@@ -377,7 +373,7 @@ def cmd_grid_search(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, params, head = load_checkpoint(args.checkpoint)
-    ds, _ = _load_sets(args, spec.head, 1)
+    (ds,) = _load_sets(args, spec.head, 1)
     loss, metric = harness.evaluate(spec, params, head, ds)
     metric_name = "rmse" if spec.head == "regression" else "accuracy"
     print(f"test_loss {loss!r} {metric_name} {metric!r}")
@@ -408,17 +404,6 @@ def cmd_gradcheck(args) -> int:
             f" {report.trials} trials, {report.redrawn} redrawn) {status}"
         )
     return 0 if ok else 2
-
-
-def cmd_make_perm(args) -> int:
-    if args.side < 1:
-        raise ValueError(f"--side must be >= 1, got {args.side}")
-    perm = tasks.make_permutation(args.side * args.side, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tasks.save_permutation(perm, out)
-    print(f"wrote {out} ({args.side}x{args.side} -> {perm.size} indices)")
-    return 0
 
 
 def main(argv=None) -> int:

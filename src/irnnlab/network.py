@@ -52,7 +52,7 @@ from .cells import (
     rnn_backward,
     rnn_forward,
 )
-from .init import DEFAULT_INPUT_STD, InitScheme, init_input_and_bias, init_recurrent, init_tanh_baseline
+from .init import DEFAULT_INPUT_STD, InitScheme
 from .ndcore import DivergenceError, Rng, ShapeError, read_payload
 
 CellParams = Union[RnnParams, LstmParams]
@@ -160,18 +160,28 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
     """Build freshly initialized cell and head parameters.
 
     Draw order is fixed: recurrent matrix (when random), input matrix, bias,
-    then head U and c. RNN specs with ``init=None`` use the activation-matched
-    baseline: tanh gets the 1/sqrt(H) recipe, relu/linear get Gaussian(0.001)
-    everywhere. LSTM gate weights are Gaussian(input_init_std); gate biases
-    are zero except the forget bias, which is set to ``forget_bias``.
+    then head U and c. The RNN recurrent matrix is ``np.eye(H)`` for identity,
+    ``np.eye(H) * s`` for iscale:<s> and Gaussian(0, std**2) for gauss:<std>;
+    V and b are Gaussian(input_init_std). With ``init=None`` the RNN uses the
+    activation-matched baseline: tanh gets W ~ N(0, 1/H), V ~ N(0, 1/D) and a
+    zero b; relu/linear get Gaussian(input_init_std) everywhere. LSTM gate
+    weights are Gaussian(input_init_std); gate biases are zero except the
+    forget bias, which is set to ``forget_bias``.
     """
     h, d, std = spec.hidden, spec.input_dim, spec.input_init_std
     if spec.cell == "rnn":
         if spec.init is None and spec.activation == "tanh":
-            w, v, b = init_tanh_baseline(h, d, rng)
+            w = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h))
+            v = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
+            b = np.zeros(h, dtype=np.float64)
         else:
-            w = init_recurrent(spec.init or InitScheme("gauss", std), h, rng)
-            v, b = init_input_and_bias(std, h, d, rng)
+            scheme = spec.init or InitScheme("gauss", std)
+            if scheme.kind == "gauss":
+                w = rng.normal(0.0, scheme.value, size=(h, h))
+            else:
+                w = np.eye(h) * scheme.value if scheme.kind == "iscale" else np.eye(h)
+            v = rng.normal(0.0, std, size=(h, d))
+            b = rng.normal(0.0, std, size=h)
         params: CellParams = RnnParams(W=w, V=v, b=b, activation=spec.activation)
     else:
         blocks = {name: rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(h)

@@ -7,6 +7,7 @@ update direction is preserved. No momentum, weight decay, or schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,10 +32,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not self.clip > 0:
-            raise ValueError(f"clip must be > 0, got {self.clip}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 < self.clip < math.inf:  # no "no clipping" mode: a huge finite clip does that job
+            raise ValueError(f"clip must be finite and > 0, got {self.clip}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -178,11 +177,6 @@ def make_permutation(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
     return make_rng(seed).permutation(n)
-
-
-def save_permutation(perm: np.ndarray, path) -> None:
-    """Persist a permutation as one index per line."""
-    Path(path).write_text("".join(f"{int(i)}\n" for i in perm), encoding="ascii")
 
 
 def _validate_permutation(perm: np.ndarray, n: int) -> None:

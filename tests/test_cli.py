@@ -249,6 +249,19 @@ class TestTrain:
         assert code == 2 and message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--lr", "--clip"])
+    def test_non_finite_lr_or_clip_exits_2(self, adding_files, tmp_path, capsys, flag):
+        # there is no "no clipping" mode; a huge finite clip does that job
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        lr, clip = ("inf", "1") if flag == "--lr" else ("0.05", "inf")
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
+                       "--lr", lr, "--clip", clip, "--steps", "5",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and f"{flag[2:]} must be finite and > 0, got inf" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_divergent_run_exits_3(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--activation", "linear",
@@ -275,6 +288,24 @@ class TestEval:
         printed = capsys.readouterr().out
         loss = float(printed.split("test_loss ")[1].split()[0])
         assert loss == pytest.approx(math.log(10.0), abs=0.01)
+
+    def test_manifest_transform_reproduces_final_row(self, synthetic_mnist, tmp_path, capsys):
+        # the manifest's permute_seed and downsample flags, not a permutation file, record the transform
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6", "--downsample", "7",
+                       "--permute-seed", "5", "--lr", "0.01", "--clip", "1", "--steps", "6",
+                       "--eval-every", "3", "--batch", "8", "--data", str(img_path), str(lab_path),
+                       str(img_path), str(lab_path), "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.irnn", "manifest.json", "metrics.csv"]
+        flags = json.loads((out / "manifest.json").read_text())["flags"]
+        step, _, test_loss, accuracy = (out / "metrics.csv").read_text().splitlines()[-1].split(",")[:4]
+        assert step == "6"
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
+                       "--data", str(img_path), str(lab_path),
+                       "--permute-seed", str(flags["permute_seed"]), "--downsample", str(flags["downsample"])) == 0
+        assert capsys.readouterr().out == f"test_loss {test_loss} accuracy {accuracy}\n"
 
     @pytest.mark.parametrize("empty", ["count", "side"])
     def test_empty_mnist_set_exits_2(self, synthetic_mnist, empty_idx, tmp_path, capsys, empty):
@@ -422,6 +453,18 @@ class TestGridSearchCli:
             assert code == 1
             assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,text", [("--lrs", "0.1,inf"), ("--clips", "inf"), ("--forget-biases", "1,inf")])
+    def test_non_finite_list_value_exits_1_before_training(self, adding_files, tmp_path, capsys, flag, text):
+        train_file, test_file = adding_files
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "lstm", "--hidden", "4",
+                       "--lrs", "0.1", "--clips", "1", "--forget-biases", "1", flag, text,
+                       "--steps-per-cell", "5", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out))
+        assert code == 1
+        assert f"{flag}: list values must be finite, got {text!r}" in capsys.readouterr().err
+        assert not out.exists()  # no manifest and no cell_000.csv
+
     def test_forget_bias_not_a_grid_flag(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         with pytest.raises(SystemExit) as exc:
@@ -442,12 +485,3 @@ class TestGradcheckCli:
         assert run_cli("gradcheck", "--cell", "rnn", "--activation", "linear",
                        "--trials", "3", "--seed", "0") == 0
         assert "1e-06" in capsys.readouterr().out
-
-
-class TestMakePerm:
-    def test_deterministic_files(self, tmp_path):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert run_cli("make-perm", "--side", "28", "--seed", "7", "--out", str(a)) == 0
-        assert run_cli("make-perm", "--side", "28", "--seed", "7", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert len(a.read_text().split()) == 784

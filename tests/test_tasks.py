@@ -10,7 +10,6 @@ from irnnlab.tasks import (
     DataFormatError,
     MnistSeqDataset,
     prepare_pixel_sequences,
-    save_permutation,
 )
 from conftest import peak_traced_bytes, write_idx_images, write_idx_labels
 
@@ -336,12 +335,3 @@ class TestPermutation:
 
     def test_two_seeds_differ(self):
         assert not np.array_equal(make_permutation(784, 0), make_permutation(784, 1))
-
-    def test_save_load_round_trip(self, tmp_path):
-        # the README format: one decimal index per line, read back by parsing the lines
-        perm = make_permutation(49, 5)
-        path = tmp_path / "perm.txt"
-        save_permutation(perm, path)
-        raw = path.read_bytes()
-        assert raw == b"".join(b"%d\n" % i for i in perm)
-        assert np.array_equal(np.array(raw.decode("ascii").splitlines(), dtype=np.int64), perm)

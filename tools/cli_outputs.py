@@ -30,7 +30,7 @@ TRAIN = ["train", "--task", "adding", "--hidden", "8", "--lr", "0.01", "--clip",
 GRID = ["grid-search", "--task", "adding", "--cell", "rnn", "--activation", "tanh", "--hidden", "6",
         "--lrs", "0.001,0.01", "--clips", "1,100", "--steps-per-cell", "20", "--eval-every", "10",
         "--seed", "2", *ADDING]
-ADDING_RUNS = ("irnn", "lstm", "tanh", "linear-baseline", "gauss")
+ADDING_RUNS = ("irnn", "lstm", "tanh", "linear-baseline", "gauss", "iscale")
 
 # (name, arguments), run in order; names are unique
 COMMANDS = [
@@ -42,6 +42,7 @@ COMMANDS = [
     ("train-linear-baseline", [*TRAIN, "--cell", "rnn", "--activation", "linear", "--init", "baseline",
                                "--out-dir", "linear-baseline"]),
     ("train-gauss", [*TRAIN, "--cell", "rnn", "--init", "gauss:0.01", "--out-dir", "gauss"]),
+    ("train-iscale", [*TRAIN, "--cell", "rnn", "--init", "iscale:0.01", "--out-dir", "iscale"]),
     ("train-mnist", ["train", "--task", "mnist", "--cell", "rnn", "--hidden", "6", "--downsample", "7",
                      "--permute-seed", "5", "--lr", "0.01", "--clip", "1", "--steps", "20",
                      "--eval-every", "10", "--batch", "8", *MNIST, "--out-dir", "mnist-run"]),
@@ -71,6 +72,12 @@ COMMANDS = [
     ("nonfinite-iscale-inf", [*TRAIN, "--cell", "rnn", "--init", "iscale:inf", "--out-dir", "bad"]),
     ("nonfinite-input-std", [*TRAIN, "--cell", "rnn", "--input-init-std", "nan", "--out-dir", "bad"]),
     ("nonfinite-forget-bias", [*TRAIN, "--cell", "lstm", "--forget-bias", "nan", "--out-dir", "bad"]),
+    # non-finite rates (overriding TRAIN's, since the last flag wins) and grid lists
+    ("nonfinite-lr", [*TRAIN, "--cell", "rnn", "--lr", "inf", "--out-dir", "bad"]),
+    ("nonfinite-clip", [*TRAIN, "--cell", "rnn", "--clip", "inf", "--out-dir", "bad"]),
+    ("nonfinite-grid-list", ["grid-search", "--task", "adding", "--cell", "lstm", "--hidden", "4",
+                             "--lrs", "0.01", "--clips", "1", "--forget-biases", "1,inf",
+                             "--steps-per-cell", "5", "--eval-every", "5", *ADDING, "--out-dir", "bad"]),
 ]
 
 # corrupted copies of irnn/checkpoint.irnn, each evaluated: (name, header offset, 8 bytes written there)
