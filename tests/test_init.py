@@ -67,6 +67,11 @@ class TestInitRecurrent:
         assert 0.0005 < big.std() < 0.0015
         assert np.array_equal(big, rnn_draw(2, 100, 2, InitScheme("gauss", 0.001))[0])
 
+    def test_rejects_zero_hidden(self):
+        for scheme in (InitScheme("identity"), InitScheme("iscale", 0.5), InitScheme("gauss", 0.1)):
+            with pytest.raises(ValueError, match="hidden and input_dim must be >= 1"):
+                rnn_draw(0, 0, 2, scheme)
+
 
 class TestInitInputAndBias:
     def test_zero_std_gives_zeros(self):
@@ -84,6 +89,15 @@ class TestInitInputAndBias:
         _, v1, b1 = rnn_draw(5, 10, 4, InitScheme("identity"))
         _, v2, b2 = rnn_draw(5, 10, 4, InitScheme("identity"))
         assert np.array_equal(v1, v2) and np.array_equal(b1, b2)
+
+    def test_rejects_negative_std(self):
+        with pytest.raises(ValueError, match="input_init_std must be finite and >= 0"):
+            rnn_draw(0, 2, 2, InitScheme("identity"), input_init_std=-0.001)
+
+    @pytest.mark.parametrize("h, d", [(0, 2), (2, 0)])
+    def test_rejects_zero_sizes(self, h, d):
+        with pytest.raises(ValueError, match="hidden and input_dim must be >= 1"):
+            rnn_draw(0, h, d, InitScheme("identity"))
 
 
 class TestTanhBaseline:
