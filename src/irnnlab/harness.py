@@ -113,8 +113,8 @@ class GridSpec:
         for name, values in (("lrs", self.lrs), ("clips", self.clips), ("forget_biases", self.forget_biases)):
             if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if any(not v > 0 for v in values):
-                raise ValueError(f"{name} must be positive, got {values}")
+            if any(not 0 < v < math.inf for v in values):  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {values}")
 
 
 def enumerate_cells(grid: GridSpec, cell_kind: str) -> list[tuple[float, float, float | None]]:
@@ -222,6 +222,17 @@ def evaluate(
     return loss, metric
 
 
+def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: HeadParams, blocks, batch):
+    """One clipped SGD update of ``blocks`` on ``batch``; returns the batch loss and the
+    gradient norm before clipping. The tape and the gradients die on return, so the
+    next update's forward pass never allocates while this one's tape is alive."""
+    loss, _, tape = forward(spec, params, head, batch)
+    grads = backward(spec, params, head, tape).blocks
+    _, norm = clip_gradients(grads, cfg.clip)
+    sgd_step(blocks, grads, cfg.lr)
+    return loss, norm
+
+
 @one_blas_thread()
 def train(
     spec: ModelSpec,
@@ -258,12 +269,8 @@ def train(
                 cursor = 0
             idx = order[cursor : cursor + cfg.batch_size]
             cursor += cfg.batch_size
-            batch = train_ds.batch(idx)
             try:
-                loss, _, tape = forward(spec, params, head, batch)
-                grads = backward(spec, params, head, tape)
-                _, norm = clip_gradients(grads.blocks, cfg.clip)
-                sgd_step(blocks, grads.blocks, cfg.lr)
+                loss, norm = _sgd_update(spec, cfg, params, head, blocks, train_ds.batch(idx))
                 if step % cfg.eval_every == 0 or step == cfg.max_steps:
                     test_loss, metric = evaluate(spec, params, head, test_ds)
                     row = MetricsRow(

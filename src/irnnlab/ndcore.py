@@ -5,9 +5,11 @@ streams within one installation (bitwise reproducibility across library
 versions is out of scope).
 
 Every binary file (ADDP datasets, IDX images and labels, IRNN checkpoints)
-is a header and one payload array. Its loader parses the header and calls
-``read_payload``, which checks the file size before allocating anything and
-reads the payload straight into one array, so each file is held once.
+is a header and one payload array. Its loader parses the header and checks
+the file size against it with ``check_size`` before allocating anything.
+IDX files and checkpoints are then read by ``read_payload`` straight into one
+array, so each is held once; ADDP files are streamed in blocks of examples
+(``tasks.load_adding``), so their float64 payload is never held whole.
 """
 
 from __future__ import annotations
@@ -47,13 +49,24 @@ def l2_norm(arrays) -> float:
     return math.sqrt(total)
 
 
+def check_size(path, size: int, expected: int) -> None:
+    """Raise ``DataFormatError`` unless ``size``, the bytes the file ``path`` holds or
+    yielded, is the ``expected`` header plus payload: a short file is reported as
+    truncated, and a long one by its trailing bytes."""
+    if size < expected:
+        raise DataFormatError(f"{path}: expected {expected} bytes, found {size} (truncated at offset {size})")
+    if size > expected:
+        raise DataFormatError(
+            f"{path}: expected {expected} bytes, found {size} ({size - expected} trailing bytes at offset {expected})"
+        )
+
+
 def read_payload(fh, path, offset: int, shape: tuple[int, ...], dtype) -> np.ndarray:
     """Read the rest of the binary file ``fh``, positioned at ``offset`` just past its
     header, into one new array of ``shape`` and ``dtype``.
 
     The file must hold exactly the header plus that payload. Its size is checked
-    before the array is allocated; a short file is reported as truncated, and a long
-    one by its trailing bytes.
+    (``check_size``) before the array is allocated, and again after the read.
     """
     dtype = np.dtype(dtype)
     expected = offset + dtype.itemsize * math.prod(shape)
@@ -61,10 +74,5 @@ def read_payload(fh, path, offset: int, shape: tuple[int, ...], dtype) -> np.nda
     if size == expected:
         payload = np.empty(shape, dtype=dtype)
         size = offset + fh.readinto(payload)
-    if size < expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {size} (truncated at offset {size})")
-    if size > expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes, found {size} ({size - expected} trailing bytes at offset {expected})"
-        )
+    check_size(path, size, expected)
     return payload

@@ -3,13 +3,17 @@
 Adding problem: each example is a length-T signal drawn uniformly from
 [0, 1] plus a mask that is 1 at exactly two distinct positions; the
 regression target is the sum of the two marked signal values. The model
-input at step t is the 2-vector (signal[t], mask[t]).
+input at step t is the 2-vector (signal[t], mask[t]). A set holds its mask
+as bool, one byte per entry; a batch casts it to 0.0/1.0 inputs.
 
 Generated datasets persist as a flat binary (``ADDP0001``): 8-byte magic,
 int64 T, int64 n (little-endian), then per example T signal doubles, T mask
-doubles, and one target double. MNIST loads from the standard IDX files
-(big-endian magic 0x00000803 for images, 0x00000801 for labels, which must
-be digits 0-9). Both loaders read their payload with ``ndcore.read_payload``.
+doubles, and one target double. Writing promotes the bool mask to 1.0/0.0.
+``load_adding`` streams the payload ``_IO_ROWS`` examples at a time into the
+signal, the bool mask and the target, and rejects a mask value other than 0
+or 1 (-0.0 reads as 0). MNIST loads from the standard IDX files (big-endian
+magic 0x00000803 for images, 0x00000801 for labels, which must be digits
+0-9), each payload read whole with ``ndcore.read_payload``.
 
 ``prepare_pixel_sequences`` views a set as T = side*side step sequences of
 one pixel each, scanline order, scaled to [0, 1]; an optional fixed
@@ -23,12 +27,13 @@ minibatch drawn from it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ndcore import DataFormatError, Rng, make_rng, read_payload
+from .ndcore import DataFormatError, Rng, check_size, make_rng, read_payload
 from .network import SequenceBatch
 
 ADDING_MAGIC = b"ADDP0001"
@@ -40,13 +45,15 @@ IDX_LABEL_MAGIC = 0x00000801
 REPORTED_CONSTANT_BASELINE_MSE = 0.1767
 ANALYTIC_CONSTANT_BASELINE_MSE = 1.0 / 6.0
 
-# Examples per block when writing ADDP files, so no whole-file copy is built.
-_IO_ROWS = 1024
+# Examples per block when writing and reading ADDP files, so no whole-file copy is
+# built; a block of T=150 examples is 616 KB.
+_IO_ROWS = 256
 
 
 @dataclass
 class AddingDataset:
-    """Adding-problem examples: signal (n, T), mask (n, T), target (n,)."""
+    """Adding-problem examples: float64 signal (n, T), bool mask (n, T) at one
+    byte per entry, True at the marked steps, and float64 target (n,)."""
 
     signal: np.ndarray
     mask: np.ndarray
@@ -81,10 +88,10 @@ def gen_adding(t_steps: int, n: int, rng: Rng) -> AddingDataset:
     signal = rng.uniform(0.0, 1.0, size=(n, t_steps))
     first = rng.integers(0, t_steps, size=n)
     second = (first + rng.integers(1, t_steps, size=n)) % t_steps
-    mask = np.zeros((n, t_steps), dtype=np.float64)
+    mask = np.zeros((n, t_steps), dtype=bool)
     rows = np.arange(n)
-    mask[rows, first] = 1.0
-    mask[rows, second] = 1.0
+    mask[rows, first] = True
+    mask[rows, second] = True
     target = signal[rows, first] + signal[rows, second]
     return AddingDataset(signal=signal, mask=mask, target=target)
 
@@ -108,10 +115,13 @@ def save_adding(ds: AddingDataset, path) -> None:
 
 
 def load_adding(path) -> AddingDataset:
-    """Read an ADDP0001 file back bit-identically.
+    """Read an ADDP0001 file back bit-identically, with the mask as bool.
 
-    The examples are read straight into one (n, 2T+1) array, of which the
-    signal, mask and target are column views, so the file is held once.
+    After the size check, the payload is read ``_IO_ROWS`` examples at a time
+    into one reused block and split into the signal, the mask and the target,
+    so the (n, 2T+1) doubles are never held whole. A mask value other than 0
+    or 1 (NaN included) is rejected, naming its example and offset; -0.0 reads
+    as 0.
     """
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -120,8 +130,28 @@ def load_adding(path) -> AddingDataset:
         t_steps, n = struct.unpack_from("<qq", header, 8)
         if t_steps < 2 or n < 1:
             raise DataFormatError(f"{path}: invalid header T={t_steps}, n={n} at offset 8")
-        rows = read_payload(fh, path, 24, (n, 2 * t_steps + 1), "<f8")
-    return AddingDataset(signal=rows[:, :t_steps], mask=rows[:, t_steps : 2 * t_steps], target=rows[:, -1])
+        width = 2 * t_steps + 1
+        expected = 24 + 8 * n * width
+        check_size(path, os.fstat(fh.fileno()).st_size, expected)
+        ds = AddingDataset(signal=np.empty((n, t_steps)), mask=np.empty((n, t_steps), dtype=bool),
+                           target=np.empty(n))
+        buf = np.empty((min(_IO_ROWS, n), width), dtype="<f8")
+        for start in range(0, n, _IO_ROWS):
+            rows = buf[: n - start]
+            if fh.readinto(rows) < rows.nbytes:  # the file shrank since its size was checked
+                check_size(path, fh.tell(), expected)
+            part, values = slice(start, start + len(rows)), rows[:, t_steps:-1]
+            ds.signal[part] = rows[:, :t_steps]
+            ds.mask[part] = values  # a cast: True where nonzero, NaN included
+            if not np.all(values[ds.mask[part]] == 1.0):
+                row, step = np.argwhere((values != 0.0) & (values != 1.0))[0]
+                example, offset = start + row, 24 + 8 * ((start + row) * width + t_steps + step)
+                raise DataFormatError(
+                    f"{path}: mask value {float(values[row, step])!r} of example {example} at offset {offset}"
+                    " is not 0 or 1"
+                )
+            ds.target[part] = rows[:, -1]
+    return ds
 
 
 @dataclass

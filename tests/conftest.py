@@ -47,6 +47,16 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(labels.astype(np.uint8).tobytes())
 
 
+def write_mask_value(path, example: int, step: int, value: float) -> int:
+    """Overwrite one mask double of the ADDP file ``path``; returns its byte offset."""
+    raw = bytearray(path.read_bytes())
+    t_steps = struct.unpack_from("<q", raw, 8)[0]
+    offset = 24 + 8 * (example * (2 * t_steps + 1) + t_steps + step)
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return offset
+
+
 @pytest.fixture
 def synthetic_mnist(tmp_path):
     """A small fake MNIST pair: 40 images 28x28 whose mean brightness encodes the label."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import blas_threads_env, write_idx_images, write_idx_labels
+from conftest import blas_threads_env, write_idx_images, write_idx_labels, write_mask_value
 from irnnlab import harness
 from irnnlab.cli import main
 from irnnlab.harness import METRICS_HEADER
@@ -160,6 +160,20 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "run"))
         err = capsys.readouterr().err
         assert code == 2 and f"{label_12}: label 12 at offset 13" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan")])
+    def test_adding_mask_value_other_than_0_or_1_exits_2(self, adding_files, tmp_path, capsys, value):
+        train_path, test_path = adding_files
+        bad = tmp_path / "bad-mask.addp"
+        bad.write_bytes(test_path.read_bytes())
+        offset = write_mask_value(bad, 200, 5, value)
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4", "--lr", "0.01",
+                       "--clip", "1", "--steps", "2", "--data", str(train_path), str(bad),
+                       "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"{bad}: mask value {value!r} of example 200 at offset {offset} is not 0 or 1" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("permute", [[], ["--permute-seed", "3"]], ids=["plain", "permuted"])
     def test_train_and_test_image_sides_differ_exits_2(self, synthetic_mnist, tmp_path, capsys, permute):

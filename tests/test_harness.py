@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from irnnlab import (
     TrainConfig,
     baseline_mse,
     evaluate,
+    forward,
     gen_adding,
     grid_search,
     init_params,
@@ -25,7 +27,7 @@ from irnnlab import (
     param_blocks,
     train,
 )
-from conftest import blas_threads_env
+from conftest import blas_threads_env, peak_traced_bytes
 from irnnlab import harness
 from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells
 from irnnlab.ndcore import DivergenceError
@@ -559,6 +561,20 @@ class TestTrain:
                            env=blas_threads_env(threads), check=True, timeout=300)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
+    def test_one_tape_alive_at_a_time(self):
+        # each update's tape is freed before the next update's forward pass allocates its
+        # own, so a run peaks near one tape (two would be alive at once otherwise)
+        spec = ModelSpec(cell="lstm", hidden=50, input_dim=2, head="regression")
+        rng = make_rng(3)
+        train_ds, test_ds = gen_adding(100, 64, rng), gen_adding(100, 32, rng)
+        cfg = TrainConfig(lr=0.01, clip=10.0, max_steps=4, eval_every=4, batch_size=16, seed=1)
+        cell = forward(spec, *init_params(spec, make_rng(1)), train_ds.batch(np.arange(16))).tape.cell
+        tape_bytes = sum(a.nbytes for a in (cell.s, cell.z, cell.c, cell.tc))
+        del cell
+        result, peak = peak_traced_bytes(lambda: train(spec, cfg, train_ds, test_ds))
+        assert not result.diverged and len(result.history) == 1
+        assert peak < 1.5 * tape_bytes
+
 
 class TestGridSearch:
     def test_cell_enumeration_counts(self):
@@ -571,6 +587,19 @@ class TestGridSearch:
             GridSpec(lrs=())
         with pytest.raises(ValueError):
             GridSpec(clips=(0.0,))
+
+    @pytest.mark.parametrize("axis,value", [("lrs", math.inf), ("clips", math.inf), ("forget_biases", math.inf),
+                                            ("lrs", math.nan), ("clips", math.nan), ("forget_biases", math.nan)])
+    def test_non_finite_grid_value_rejected_before_any_cell(self, axis, value, tiny_adding, tmp_path):
+        # a bad value anywhere in an axis fails before cell 0 trains or writes its CSV
+        train_ds, test_ds = tiny_adding
+        spec = ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression")
+        budget = TrainConfig(lr=1.0, clip=1.0, max_steps=5, eval_every=5, seed=0)
+        axes = {"lrs": (0.01,), "clips": (1.0,), "forget_biases": (1.0,)}
+        axes[axis] += (value,)
+        with pytest.raises(ValueError, match=f"{axis} must be positive and finite"):
+            grid_search(spec, GridSpec(**axes), budget, train_ds, test_ds, tmp_path / "grid")
+        assert list(tmp_path.rglob("cell_*.csv")) == []
 
     def test_single_cell_equivalent_to_train(self, tiny_adding, tmp_path):
         train_ds, test_ds = tiny_adding

@@ -11,7 +11,7 @@ from irnnlab.tasks import (
     MnistSeqDataset,
     prepare_pixel_sequences,
 )
-from conftest import peak_traced_bytes, write_idx_images, write_idx_labels
+from conftest import peak_traced_bytes, write_idx_images, write_idx_labels, write_mask_value
 
 
 class TestGenAdding:
@@ -37,6 +37,12 @@ class TestGenAdding:
         ds.mask[0, 2] = ds.mask[0, 7] = 1.0
         marked = np.flatnonzero(ds.mask[0])
         assert ds.signal[0, marked].sum() == pytest.approx(1.2)
+
+    def test_mask_is_bool(self):
+        # one byte per entry; a batch still sees 0.0/1.0 inputs
+        ds = gen_adding(9, 40, make_rng(1))
+        assert ds.mask.dtype == bool
+        assert set(np.unique(ds.batch(np.arange(40)).inputs[:, :, 1])) == {0.0, 1.0}
 
     def test_t2_forces_both_positions(self):
         ds = gen_adding(2, 100, make_rng(3))
@@ -118,7 +124,7 @@ class TestAddingFiles:
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
     def test_file_bytes_match_whole_array_formula(self, n, tmp_path):
         # reference: header, then the (n, 2T+1) concatenation as little-endian doubles;
-        # the writer goes in blocks of 1024 examples
+        # the writer goes in blocks of 256 examples
         ds = gen_adding(5, n, make_rng(n))
         path = tmp_path / "data.addp"
         save_adding(ds, path)
@@ -139,6 +145,19 @@ class TestAddingFiles:
         assert np.array_equal(back.signal, ds.signal)
         assert peak < 2 * path.stat().st_size
 
+    def test_loaded_mask_is_bool(self, tmp_path):
+        ds = gen_adding(6, 300, make_rng(8))
+        save_adding(ds, tmp_path / "data.addp")
+        assert load_adding(tmp_path / "data.addp").mask.dtype == bool
+
+    def test_load_holds_no_float_payload(self, tmp_path):
+        # a T=150 example keeps 8T signal bytes, T mask bytes and an 8-byte target,
+        # 0.56x of its 8(2T+1) file bytes; the streaming block adds 616 KB
+        path = tmp_path / "data.addp"
+        save_adding(gen_adding(150, 10_000, make_rng(8)), path)
+        _, peak = peak_traced_bytes(lambda: load_adding(path))
+        assert peak < 0.6 * path.stat().st_size
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "data.addp"
         path.write_bytes(b"NOTADDP0" + b"\0" * 64)
@@ -152,6 +171,27 @@ class TestAddingFiles:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(DataFormatError, match="offset"):
             load_adding(path)
+
+
+class TestAddingMaskValues:
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("example", [0, 517])  # in the first streamed block and in a later one
+    def test_mask_value_other_than_0_or_1_rejected(self, value, example, tmp_path):
+        path = tmp_path / "data.addp"
+        save_adding(gen_adding(6, 600, make_rng(8)), path)
+        offset = write_mask_value(path, example, 4, value)
+        with pytest.raises(DataFormatError, match=f"mask value {value!r} of example {example} at offset {offset} "):
+            load_adding(path)
+
+    def test_negative_zero_reads_as_zero(self, tmp_path):
+        ds = gen_adding(6, 20, make_rng(8))
+        step = int(np.flatnonzero(~ds.mask[3])[0])
+        path = tmp_path / "data.addp"
+        save_adding(ds, path)
+        write_mask_value(path, 3, step, -0.0)
+        back = load_adding(path)
+        assert np.array_equal(back.mask, ds.mask)
+        assert back.batch([3]).inputs[step, 0, 1].tobytes() == np.float64(0.0).tobytes()
 
 
 class TestIdxLoader:

@@ -89,6 +89,12 @@ BAD_CHECKPOINTS = [
     ("forget-bias-nan", 80, struct.pack("<d", float("nan"))),
 ]
 
+# copies of data/test.addp with one mask double rewritten, each the test set of a train run:
+# (name, example, step, value written there)
+BAD_MASKS = [
+    ("mask-half", 7, 3, 0.5),
+]
+
 
 def write_idx_pair(images_path: Path, labels_path: Path, n: int, seed: int) -> None:
     """``n`` 28x28 uint8 images whose mean brightness grows with their label, as IDX files."""
@@ -142,8 +148,17 @@ def main(argv=None) -> int:
         path = f"bad-checkpoints/{name}.irnn"
         (out / path).write_bytes(good[:offset] + value + good[offset + 8:])
         run(src, out, index, f"eval-{name}", ["eval", "--checkpoint", path, "--data", "data/test.addp"])
+    (out / "bad-data").mkdir()
+    data = (out / "data" / "test.addp").read_bytes()
+    t_steps = struct.unpack_from("<q", data, 8)[0]
+    for index, (name, example, step, value) in enumerate(BAD_MASKS, start=len(COMMANDS) + len(BAD_CHECKPOINTS)):
+        path = f"bad-data/{name}.addp"
+        offset = 24 + 8 * (example * (2 * t_steps + 1) + t_steps + step)
+        (out / path).write_bytes(data[:offset] + struct.pack("<d", value) + data[offset + 8:])
+        # the last --data wins
+        run(src, out, index, f"train-{name}", [*TRAIN, "--cell", "rnn", *ADDING[:2], path, "--out-dir", "bad"])
     drop_wallclock(out)
-    print(f"{len(COMMANDS) + len(BAD_CHECKPOINTS)} commands run; outputs in {out}")
+    print(f"{len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS)} commands run; outputs in {out}")
     return 0
 
 
