@@ -228,13 +228,11 @@ def _write_manifest(out_dir: Path, command: str, flags: dict, data_paths) -> Non
 
 
 def cmd_gen_adding(args) -> int:
-    if args.t < 2:
-        raise ValueError(f"--t must be >= 2, got {args.t}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = make_rng(args.seed)
     train_ds = tasks.gen_adding(args.t, args.n_train, rng)
     test_ds = tasks.gen_adding(args.t, args.n_test, rng)
+    out.mkdir(parents=True, exist_ok=True)  # after both sets are drawn, so a rejected size leaves none
     tasks.save_adding(train_ds, out / "train.addp")
     tasks.save_adding(test_ds, out / "test.addp")
     flags = {"t": args.t, "n_train": args.n_train, "n_test": args.n_test, "seed": args.seed, "out": str(out)}
@@ -334,15 +332,16 @@ def cmd_train(args) -> int:
         args.steps = DEFAULT_STEPS[args.task]
     spec, cfg, train_ds, test_ds, out_dir = _set_up(args, args.lr, args.clip, args.steps)
 
-    def log(row):
-        print(
-            f"step {row.step}: train_loss {row.train_loss:.6g} test_loss {row.test_loss:.6g}"
-            f" task_metric {row.task_metric:.6g} grad_norm {row.grad_norm:.6g}"
-        )
+    with harness.metrics_csv(out_dir / "metrics.csv") as write_row:
 
-    result = harness.train(
-        spec, cfg, train_ds, test_ds, metrics_path=out_dir / "metrics.csv", log=log
-    )
+        def on_row(row):
+            write_row(row)
+            print(
+                f"step {row.step}: train_loss {row.train_loss:.6g} test_loss {row.test_loss:.6g}"
+                f" task_metric {row.task_metric:.6g} grad_norm {row.grad_norm:.6g}"
+            )
+
+        result = harness.train(spec, cfg, train_ds, test_ds, on_row=on_row)
     save_checkpoint(out_dir / "checkpoint.irnn", spec, result.params, result.head)
     print(f"metrics: {out_dir / 'metrics.csv'}")
     print(f"checkpoint: {out_dir / 'checkpoint.irnn'}")

@@ -21,10 +21,11 @@ failure no further chunk is handed out. The helpers are joined before
 ``evaluate`` returns, so ``grid_search`` never forks a process that has
 threads, and its forked workers split the cores between them.
 
-Metrics CSV contract: header ``step,train_loss,test_loss,task_metric,
-grad_norm,wallclock_s``, one row per eval point, ``.`` decimal separator,
-LF line endings. All columns except wallclock_s are bit-reproducible; the
-wall clock is injectable (``timer=``) so tests can pin it too.
+Metrics CSV contract (``metrics_csv`` writes the rows ``train`` passes to
+``on_row``): header ``step,train_loss,test_loss,task_metric,grad_norm,
+wallclock_s``, one row per eval point, ``.`` decimal separator, LF line
+endings. All columns except wallclock_s are bit-reproducible; the wall
+clock is injectable (``timer=``) so tests can pin it too.
 
 Grid search runs one training per (lr, gc[, fb]) cell, each with its own
 derived seed, ranks completed cells by final test loss (diverged cells
@@ -233,67 +234,70 @@ def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: Hea
     return loss, norm
 
 
+@contextlib.contextmanager
+def metrics_csv(path):
+    """Write the metrics CSV header to ``path`` and yield an ``on_row`` callback for
+    ``train`` that adds one flushed line per row. The file is closed on any exit."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(METRICS_HEADER + "\n")
+
+        def write_row(row: MetricsRow) -> None:
+            fh.write(row.as_csv() + "\n")
+            fh.flush()
+
+        yield write_row
+
+
 @one_blas_thread()
 def train(
     spec: ModelSpec,
     cfg: TrainConfig,
     train_ds,
     test_ds,
-    metrics_path=None,
+    on_row=None,
     timer=time.perf_counter,
-    log=None,
 ) -> TrainResult:
     """Run SGD with clipping for cfg.max_steps minibatch updates.
 
-    On divergence (non-finite loss, activation overflow, or non-finite
-    gradients) the run stops early, keeps the metrics gathered so far, and
-    is flagged; it never raises.
+    Each metrics row is passed to ``on_row``, if given, right after it joins the
+    history. On divergence (non-finite loss, activation overflow, or non-finite
+    gradients) the run stops early, keeps the metrics gathered so far, and is
+    flagged; it never raises.
     """
     rng = make_rng(cfg.seed)
     params, head = init_params(spec, rng)
     blocks = param_blocks(params, head)
     result = TrainResult(params=params, head=head, history=[])
-    metrics = None
-    if metrics_path is not None:
-        Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
-        metrics = open(metrics_path, "w", encoding="ascii", newline="\n")
-        metrics.write(METRICS_HEADER + "\n")
     n = len(train_ds)
     order = rng.permutation(n)
     cursor = 0
     start_time = timer()
-    try:
-        for step in range(1, cfg.max_steps + 1):
-            if cursor >= n:
-                order = rng.permutation(n)
-                cursor = 0
-            idx = order[cursor : cursor + cfg.batch_size]
-            cursor += cfg.batch_size
-            try:
-                loss, norm = _sgd_update(spec, cfg, params, head, blocks, train_ds.batch(idx))
-                if step % cfg.eval_every == 0 or step == cfg.max_steps:
-                    test_loss, metric = evaluate(spec, params, head, test_ds)
-                    row = MetricsRow(
-                        step=step,
-                        train_loss=loss,
-                        test_loss=test_loss,
-                        task_metric=metric,
-                        grad_norm=norm,
-                        wallclock_s=timer() - start_time,
-                    )
-                    result.history.append(row)
-                    if metrics is not None:
-                        metrics.write(row.as_csv() + "\n")
-                        metrics.flush()
-                    if log is not None:
-                        log(row)
-            except DivergenceError:
-                result.diverged = True
-                result.diverged_at = step
-                break
-    finally:
-        if metrics is not None:
-            metrics.close()
+    for step in range(1, cfg.max_steps + 1):
+        if cursor >= n:
+            order = rng.permutation(n)
+            cursor = 0
+        idx = order[cursor : cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        try:
+            loss, norm = _sgd_update(spec, cfg, params, head, blocks, train_ds.batch(idx))
+            if step % cfg.eval_every != 0 and step != cfg.max_steps:
+                continue
+            test_loss, metric = evaluate(spec, params, head, test_ds)
+        except DivergenceError:
+            result.diverged = True
+            result.diverged_at = step
+            break
+        row = MetricsRow(
+            step=step,
+            train_loss=loss,
+            test_loss=test_loss,
+            task_metric=metric,
+            grad_norm=norm,
+            wallclock_s=timer() - start_time,
+        )
+        result.history.append(row)
+        if on_row is not None:
+            on_row(row)
     return result
 
 
@@ -306,19 +310,14 @@ def _run_cell(cell_index: int) -> dict:
     cell_spec = spec if fb is None else replace(spec, forget_bias=fb)
     cfg = replace(budget, lr=lr, clip=gc, seed=cell_seed)
     metrics_name = f"cell_{cell_index:03d}.csv"
-    result = train(
-        cell_spec,
-        cfg,
-        ctx["train_ds"],
-        ctx["test_ds"],
-        metrics_path=Path(ctx["out_dir"]) / metrics_name,
-    )
+    with metrics_csv(ctx["out_dir"] / metrics_name) as write_row:
+        result = train(cell_spec, cfg, ctx["train_ds"], ctx["test_ds"], on_row=write_row)
     row: dict = {"lr": lr, "gc": gc}
     if fb is not None:
         row["fb"] = fb
     last = None if result.diverged or not result.history else result.history[-1]
-    row.update(final_test_loss=last and last.test_loss, task_metric=last and last.task_metric,
-               diverged=result.diverged, metrics_path=metrics_name, seed=cell_seed)
+    row.update({"final_test_loss": last and last.test_loss, "task_metric": last and last.task_metric,
+                "diverged": result.diverged, "metrics_path": metrics_name, "seed": cell_seed})
     return row
 
 

@@ -25,7 +25,7 @@ import pytest
 import irnnlab as il
 from irnnlab.cli import main as cli_main
 from irnnlab.gradcheck import check_model
-from irnnlab.harness import GridSpec, grid_search
+from irnnlab.harness import GridSpec, grid_search, metrics_csv
 from irnnlab.network import forward
 from irnnlab.tasks import ANALYTIC_CONSTANT_BASELINE_MSE, REPORTED_CONSTANT_BASELINE_MSE
 
@@ -280,8 +280,9 @@ def test_criterion_8_train_determinism(tmp_path):
                         activation="relu", init=il.InitScheme("identity"))
     cfg = il.TrainConfig(lr=0.05, clip=1.0, max_steps=60, eval_every=20, seed=12)
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    il.train(spec, cfg, train_ds, test_ds, metrics_path=p1, timer=lambda: 0.0)
-    il.train(spec, cfg, train_ds, test_ds, metrics_path=p2, timer=lambda: 0.0)
+    for path in (p1, p2):
+        with metrics_csv(path) as write_row:
+            il.train(spec, cfg, train_ds, test_ds, on_row=write_row, timer=lambda: 0.0)
     assert p1.read_bytes() == p2.read_bytes()
     report("8a (train determinism)", "metrics identical; full CSV byte-identical under pinned clock")
 

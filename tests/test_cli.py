@@ -94,7 +94,17 @@ class TestGenAdding:
 
     def test_rejects_t1(self, tmp_path):
         assert run_cli("gen-adding", "--t", "1", "--n-train", "10", "--n-test", "10",
-                       "--seed", "0", "--out", str(tmp_path / "x")) != 0
+                       "--seed", "0", "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
+    def test_empty_set_exits_2_and_leaves_no_directory(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        n_train, n_test = ("0", "10") if flag == "--n-train" else ("10", "0")
+        code = run_cli("gen-adding", "--t", "5", "--n-train", n_train, "--n-test", n_test, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "dataset size must be >= 1, got 0" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrain:

@@ -1,8 +1,10 @@
 """The binary loaders together: ADDP datasets, IDX images, IDX labels and IRNN checkpoints.
 
-Each reads a header and then one payload through ``ndcore.read_payload``, so a file
-of any wrong length is a ``ValueError`` and nothing is allocated for a payload the
-file does not hold.
+Each reads a header and checks the file's size against it with ``ndcore.check_size``
+before it allocates, so a file of any wrong length is a ``ValueError`` and nothing is
+allocated for a payload the file does not hold. IDX files and checkpoints then read
+their payload through ``ndcore.read_payload``; ``tasks.load_adding`` streams an ADDP
+payload a block of examples at a time.
 """
 
 import struct

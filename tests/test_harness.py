@@ -29,7 +29,7 @@ from irnnlab import (
 )
 from conftest import blas_threads_env, peak_traced_bytes
 from irnnlab import harness
-from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells
+from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells, metrics_csv
 from irnnlab.ndcore import DivergenceError
 from irnnlab.tasks import PixelSequenceDataset
 
@@ -45,12 +45,14 @@ def fixed_timer():
 TRAIN_T50_B128 = """
 import sys
 from irnnlab import InitScheme, ModelSpec, TrainConfig, gen_adding, make_rng, train
+from irnnlab.harness import metrics_csv
 rng = make_rng(0)
 train_ds, test_ds = gen_adding(50, 4000, rng), gen_adding(50, 500, rng)
 spec = ModelSpec(cell="rnn", hidden=100, input_dim=2, head="regression", activation="relu",
                  init=InitScheme("identity"))
 cfg = TrainConfig(lr=0.01, clip=1.0, max_steps=30, eval_every=10, batch_size=128, seed=1)
-train(spec, cfg, train_ds, test_ds, metrics_path=sys.argv[1], timer=lambda: 0.0)
+with metrics_csv(sys.argv[1]) as write_row:
+    train(spec, cfg, train_ds, test_ds, on_row=write_row, timer=lambda: 0.0)
 """
 
 
@@ -467,9 +469,13 @@ class TestTrain:
     def test_identical_seeds_identical_histories(self, tiny_adding):
         train_ds, test_ds = tiny_adding
         cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=60, eval_every=20, seed=11)
-        a = train(ADDING_SPEC, cfg, train_ds, test_ds, timer=fixed_timer)
+        rows = []
+        a = train(ADDING_SPEC, cfg, train_ds, test_ds, on_row=rows.append, timer=fixed_timer)
         b = train(ADDING_SPEC, cfg, train_ds, test_ds, timer=fixed_timer)
         assert a.history == b.history
+        # on_row sees each history row once, in order, as the same object
+        assert len(rows) == len(a.history) == 3
+        assert all(seen is kept for seen, kept in zip(rows, a.history))
         for name, block in param_blocks(a.params, a.head).items():
             assert np.array_equal(block, param_blocks(b.params, b.head)[name])
 
@@ -477,10 +483,10 @@ class TestTrain:
         train_ds, test_ds = tiny_adding
         path = tmp_path / "metrics.csv"
         cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=45, eval_every=20, seed=1)
-        result = train(ADDING_SPEC, cfg, train_ds, test_ds, metrics_path=path, timer=fixed_timer)
-        lines = path.read_text().split("\n")
-        assert lines[0] == METRICS_HEADER
-        assert len(lines) == 1 + len(result.history) + 1  # header + rows + trailing LF
+        with metrics_csv(path) as write_row:
+            result = train(ADDING_SPEC, cfg, train_ds, test_ds, on_row=write_row, timer=fixed_timer)
+        expected = "".join(f"{line}\n" for line in [METRICS_HEADER, *(r.as_csv() for r in result.history)])
+        assert path.read_bytes() == expected.encode("ascii")  # LF endings, one line per history row
         steps = [r.step for r in result.history]
         assert steps == [20, 40, 45]  # eval points plus the final step
         assert all(steps[i] < steps[i + 1] for i in range(len(steps) - 1))
@@ -515,11 +521,16 @@ class TestTrain:
         train_ds, test_ds = tiny_adding
         spec = ModelSpec(cell="rnn", hidden=8, input_dim=2, head="regression",
                          activation="linear", init=InitScheme("gauss", 2.0))
-        cfg = TrainConfig(lr=1e6, clip=1e9, max_steps=500, eval_every=5, seed=2)
-        result = train(spec, cfg, train_ds, test_ds)
+        cfg = TrainConfig(lr=1e6, clip=1e9, max_steps=500, eval_every=1, seed=2)
+        rows = []
+        result = train(spec, cfg, train_ds, test_ds, on_row=rows.append)
         assert result.diverged
         assert result.diverged_at is not None
-        assert all(np.isfinite(r.test_loss) for r in result.history)
+        # one row per update before the one that diverged, each also passed to on_row
+        assert [r.step for r in result.history] == list(range(1, result.diverged_at))
+        assert result.history and all(np.isfinite(r.test_loss) for r in result.history)
+        assert len(rows) == len(result.history)
+        assert all(seen is kept for seen, kept in zip(rows, result.history))
 
     def test_epoch_reshuffle_covers_dataset(self):
         # one epoch = len(ds)/batch steps without replacement
@@ -549,7 +560,8 @@ class TestTrain:
         cfg = TrainConfig(lr=0.05, clip=1.0, max_steps=20, eval_every=10, seed=12)
         for k in (1, 2):
             force_eval_threads(k)
-            train(spec, cfg, train_ds, test_ds, metrics_path=tmp_path / f"{k}.csv", timer=fixed_timer)
+            with metrics_csv(tmp_path / f"{k}.csv") as write_row:
+                train(spec, cfg, train_ds, test_ds, on_row=write_row, timer=fixed_timer)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
     @pytest.mark.skipif(harness._openblas() is None, reason="needs the OpenBLAS of numpy's wheel")

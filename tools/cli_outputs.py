@@ -95,6 +95,13 @@ BAD_MASKS = [
     ("mask-half", 7, 3, 0.5),
 ]
 
+# run after the corrupted-file runs, so no earlier log name shifts
+LATE_COMMANDS = [
+    # diverges at step 11 after five rows: exit 3, a partial metrics.csv, a stderr line
+    ("train-diverged", [*TRAIN, "--cell", "rnn", "--activation", "linear", "--init", "identity",
+                        "--lr", "0.5", "--clip", "1e9", "--eval-every", "2", "--out-dir", "diverged"]),
+]
+
 
 def write_idx_pair(images_path: Path, labels_path: Path, n: int, seed: int) -> None:
     """``n`` 28x28 uint8 images whose mean brightness grows with their label, as IDX files."""
@@ -157,8 +164,11 @@ def main(argv=None) -> int:
         (out / path).write_bytes(data[:offset] + struct.pack("<d", value) + data[offset + 8:])
         # the last --data wins
         run(src, out, index, f"train-{name}", [*TRAIN, "--cell", "rnn", *ADDING[:2], path, "--out-dir", "bad"])
+    for index, (name, cmd) in enumerate(LATE_COMMANDS, start=len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS)):
+        run(src, out, index, name, cmd)
     drop_wallclock(out)
-    print(f"{len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS)} commands run; outputs in {out}")
+    total = len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS) + len(LATE_COMMANDS)
+    print(f"{total} commands run; outputs in {out}")
     return 0
 
 
