@@ -27,10 +27,11 @@ wallclock_s``, one row per eval point, ``.`` decimal separator, LF line
 endings. All columns except wallclock_s are bit-reproducible; the wall
 clock is injectable (``timer=``) so tests can pin it too.
 
-Grid search runs one training per (lr, gc[, fb]) cell, each with its own
-derived seed, ranks completed cells by final test loss (diverged cells
-last, ties broken by (lr, gc, fb)), and writes a summary JSON whose bytes
-are independent of worker count.
+Grid search runs one training per cell, each with its own derived seed. A
+cell is the dict of the axis values it sets: ``lr`` and ``gc``, plus ``fb``
+for LSTMs. Completed cells are ranked by final test loss (diverged or empty
+cells last, ties broken by the cell's axis values in the order lr, gc, fb),
+and the summary JSON's bytes are independent of worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -118,17 +120,17 @@ class GridSpec:
                 raise ValueError(f"{name} must be positive and finite, got {values}")
 
 
-def enumerate_cells(grid: GridSpec, cell_kind: str) -> list[tuple[float, float, float | None]]:
-    """Cartesian product of the grid axes; (lr, gc, fb) with fb=None for RNNs."""
-    cells = []
-    for lr in grid.lrs:
-        for gc in grid.clips:
-            if cell_kind == "lstm":
-                for fb in grid.forget_biases:
-                    cells.append((lr, gc, fb))
-            else:
-                cells.append((lr, gc, None))
-    return cells
+# each grid axis and the TrainConfig ("cfg") or ModelSpec ("spec") field it sets, in rank order
+_AXES = {"lr": ("cfg", "lr"), "gc": ("cfg", "clip"), "fb": ("spec", "forget_bias")}
+
+
+def enumerate_cells(grid: GridSpec, cell_kind: str) -> list[dict[str, float]]:
+    """Cartesian product of the grid axes, lr slowest: one dict of axis values per
+    cell, with ``fb`` for LSTMs only."""
+    axes = {"lr": grid.lrs, "gc": grid.clips}
+    if cell_kind == "lstm":
+        axes["fb"] = grid.forget_biases
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 @functools.cache
@@ -303,33 +305,27 @@ def train(
 
 def _run_cell(cell_index: int) -> dict:
     ctx = _WORKER_CTX
-    spec: ModelSpec = ctx["spec"]
-    budget: TrainConfig = ctx["budget"]
-    lr, gc, fb = ctx["cells"][cell_index]
-    cell_seed = budget.seed + cell_index
-    cell_spec = spec if fb is None else replace(spec, forget_bias=fb)
-    cfg = replace(budget, lr=lr, clip=gc, seed=cell_seed)
+    cell = ctx["cells"][cell_index]
+    cell_seed = ctx["budget"].seed + cell_index
+    fields = {"cfg": {"seed": cell_seed}, "spec": {}}
+    for axis, value in cell.items():
+        target, name = _AXES[axis]
+        fields[target][name] = value
+    cell_spec = replace(ctx["spec"], **fields["spec"])
+    cfg = replace(ctx["budget"], **fields["cfg"])
     metrics_name = f"cell_{cell_index:03d}.csv"
     with metrics_csv(ctx["out_dir"] / metrics_name) as write_row:
         result = train(cell_spec, cfg, ctx["train_ds"], ctx["test_ds"], on_row=write_row)
-    row: dict = {"lr": lr, "gc": gc}
-    if fb is not None:
-        row["fb"] = fb
     last = None if result.diverged or not result.history else result.history[-1]
-    row.update({"final_test_loss": last and last.test_loss, "task_metric": last and last.task_metric,
-                "diverged": result.diverged, "metrics_path": metrics_name, "seed": cell_seed})
-    return row
+    return {**cell, "final_test_loss": last and last.test_loss, "task_metric": last and last.task_metric,
+            "diverged": result.diverged, "metrics_path": metrics_name, "seed": cell_seed}
 
 
 def _rank_key(row: dict):
+    """Completed cells by final test loss, then diverged or empty ones; ties by the cell's axis values."""
     loss = row["final_test_loss"]
-    return (
-        1 if row["diverged"] or loss is None else 0,
-        loss if loss is not None else math.inf,
-        row["lr"],
-        row["gc"],
-        row.get("fb", -1.0),
-    )
+    unranked = row["diverged"] or loss is None
+    return (unranked, math.inf if unranked else loss, *(row[axis] for axis in _AXES if axis in row))
 
 
 def grid_search(

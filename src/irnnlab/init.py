@@ -36,11 +36,6 @@ class InitScheme:
         if self.kind == "gauss" and self.value < 0:
             raise ValueError(f"gauss std must be >= 0, got {self.value}")
 
-    def __str__(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        return f"{self.kind}:{self.value:g}"
-
 
 def parse_scheme(text: str) -> InitScheme:
     """Parse the CLI spelling: ``identity``, ``iscale:<s>``, or ``gauss:<std>``."""

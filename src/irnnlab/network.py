@@ -216,16 +216,17 @@ def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceB
     kernel = rnn_forward if spec.cell == "rnn" else lstm_forward
     h_last, cell = kernel(params, batch.inputs, keep)
     logits = h_last @ head.U.T + head.c
-    if spec.head == "regression":
-        predictions = logits[:, 0]
-        residual = predictions - targets
-        loss = float(np.mean(residual * residual))
-    else:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        predictions = expz / expz.sum(axis=1, keepdims=True)
-        picked = predictions[np.arange(batch.size), targets]
-        loss = float(-np.mean(np.log(picked)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite loss raises below
+        if spec.head == "regression":
+            predictions = logits[:, 0]
+            residual = predictions - targets
+            loss = float(np.mean(residual * residual))
+        else:
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            expz = np.exp(shifted)
+            predictions = expz / expz.sum(axis=1, keepdims=True)
+            picked = predictions[np.arange(batch.size), targets]
+            loss = float(-np.mean(np.log(picked)))
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
     return loss, predictions, h_last, cell

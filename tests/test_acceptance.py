@@ -174,7 +174,8 @@ def test_criterion_6a_tanh_never_learns_t200():
                              activation="tanh", init=il.InitScheme("gauss", 0.001))
     grid = GridSpec(lrs=(1e-3, 1e-2, 1e-1), clips=(1.0, 10.0, 100.0))
     tanh_best = math.inf
-    for i, (lr, gc, _) in enumerate(il.harness.enumerate_cells(grid, "rnn")):
+    for i, cell in enumerate(il.harness.enumerate_cells(grid, "rnn")):
+        lr, gc = cell["lr"], cell["gc"]
         cfg = il.TrainConfig(lr=lr, clip=gc, max_steps=20_000, eval_every=2000, seed=100 + i)
         result = il.train(tanh_spec, cfg, train_ds, test_ds)
         cell_best = min((r.test_loss for r in result.history), default=math.inf)

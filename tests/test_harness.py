@@ -593,6 +593,16 @@ class TestGridSearch:
         grid = GridSpec()
         assert len(enumerate_cells(grid, "rnn")) == 36  # 9 lrs x 4 clips
         assert len(enumerate_cells(grid, "lstm")) == 144  # x 4 forget biases
+        assert all("fb" not in cell for cell in enumerate_cells(grid, "rnn"))
+        # lr slowest, then gc, then fb, each in the grid's own order
+        small = GridSpec(lrs=(0.1, 0.01), clips=(5.0,), forget_biases=(4.0, 1.0))
+        assert enumerate_cells(small, "lstm") == [
+            {"lr": 0.1, "gc": 5.0, "fb": 4.0},
+            {"lr": 0.1, "gc": 5.0, "fb": 1.0},
+            {"lr": 0.01, "gc": 5.0, "fb": 4.0},
+            {"lr": 0.01, "gc": 5.0, "fb": 1.0},
+        ]
+        assert enumerate_cells(small, "rnn") == [{"lr": 0.1, "gc": 5.0}, {"lr": 0.01, "gc": 5.0}]
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):

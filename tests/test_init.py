@@ -39,10 +39,6 @@ class TestScheme:
         with pytest.raises(ValueError, match=f"{kind} parameter must be finite"):
             InitScheme(kind, value)
 
-    def test_str_round_trips(self):
-        for text in ("identity", "iscale:0.01", "gauss:0.001"):
-            assert parse_scheme(str(parse_scheme(text))) == parse_scheme(text)
-
 
 class TestInitRecurrent:
     def test_identity_scheme_is_exact_identity(self):

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestDivergenceLocalisation:
         }[path]
         with pytest.raises(DivergenceError, match=rf"at step {step}$"):
             run()
+
+    @pytest.mark.parametrize("head_kind", ["regression", "softmax"])
+    @pytest.mark.parametrize("path", ["forward", "evaluate"])
+    def test_non_finite_loss_raises_without_numpy_warnings(self, head_kind, path):
+        # h_T is 0, so the logits are c: a residual of 1e200 overflows its square, and
+        # label 0 trails class 1 by 1e5, so its probability underflows to 0 and its log is -inf
+        spec, params, head = zero_model(head=head_kind, classes=3 if head_kind == "softmax" else 0)
+        head.c[:] = [1e200] if head_kind == "regression" else [0.0, 1e5, 0.0]
+        targets = np.zeros(3, dtype=np.int64 if head_kind == "softmax" else np.float64)
+        batch = SequenceBatch(inputs=np.zeros((2, 3, 2)), targets=targets)
+        run = {
+            "forward": lambda: forward(spec, params, head, batch),
+            "evaluate": lambda: evaluate(spec, params, head, _FixedDataset(batch)),
+        }[path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite loss"):
+                run()
 
 
 class TestBackward:

@@ -100,6 +100,10 @@ LATE_COMMANDS = [
     # diverges at step 11 after five rows: exit 3, a partial metrics.csv, a stderr line
     ("train-diverged", [*TRAIN, "--cell", "rnn", "--activation", "linear", "--init", "identity",
                         "--lr", "0.5", "--clip", "1e9", "--eval-every", "2", "--out-dir", "diverged"]),
+    # the unsorted forget biases pin the cell order and the fb key of each summary row
+    ("grid-lstm", ["grid-search", "--task", "adding", "--cell", "lstm", "--hidden", "4", "--lrs", "0.01,0.1",
+                   "--clips", "1,100", "--forget-biases", "4,1", "--steps-per-cell", "20", "--eval-every", "10",
+                   "--seed", "2", "--workers", "2", *ADDING, "--out-dir", "grid-lstm"]),
 ]
 
 
