@@ -9,7 +9,8 @@ permutation and pooling; ``eval --permute-seed S --downsample D`` re-applies
 them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error (including a
-failed gradcheck bound), 3 divergence (train only).
+failed gradcheck bound), 3 divergence (a diverged train run, or a grid-search
+whose every cell diverged).
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--cell", choices=("rnn", "lstm"), required=True)
-    p.add_argument("--activation", choices=("relu", "tanh", "linear"), default="relu")
+    p.add_argument("--activation", choices=("relu", "tanh", "linear"), help="rnn only (default relu)")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--forget-bias", type=float)
@@ -141,31 +142,26 @@ def _add_model_flags(p, train: bool) -> None:
     p.add_argument("--downsample", type=int, help="average-pool images to this side (mnist only)")
 
 
-def _resolve_model(args) -> ModelSpec:
-    """Validate flag combinations and produce the ModelSpec."""
-    forget_bias = getattr(args, "forget_bias", None)  # grid-search has no --forget-bias
+def _check_cell_flags(args) -> None:
+    """Reject the --activation, --init and --forget-bias flags that do not apply to --cell."""
     if args.cell == "lstm":
         conflicts = [
             name
-            for name, value in (("--activation", args.activation), ("--init", args.init))
+            for name, value in (("--activation", args.activation), ("--init", getattr(args, "init", None)))
             if value is not None
         ]
         if conflicts:
             raise UsageError(f"{' and '.join(conflicts)} only apply to --cell rnn")
-    elif forget_bias is not None:
+    elif getattr(args, "forget_bias", None) is not None:  # grid-search has no --forget-bias
         raise UsageError("--forget-bias only applies to --cell lstm")
 
-    activation = args.activation or "relu"
-    if args.cell == "rnn":
-        if args.init is None:
-            init = None if activation == "tanh" else parse_scheme("identity")
-        elif args.init == "baseline":
-            init = None
-        else:
-            init = parse_scheme(args.init)
-    else:
-        init = None
 
+def _resolve_model(args) -> ModelSpec:
+    """Validate flag combinations and produce the ModelSpec."""
+    _check_cell_flags(args)
+    forget_bias = getattr(args, "forget_bias", None)
+    activation = args.activation or "relu"
+    init = parse_scheme(args.init or ("baseline" if args.cell == "lstm" or activation == "tanh" else "identity"))
     if args.task == "adding":
         head, input_dim, classes = "regression", 2, 0
     else:
@@ -359,14 +355,18 @@ def cmd_grid_search(args) -> int:
     )
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.steps_per_cell < 1:
+        raise UsageError(f"--steps-per-cell must be >= 1, got {args.steps_per_cell}")
     # lr and clip are placeholders; each cell sets its own
     spec, budget, train_ds, test_ds, out_dir = _set_up(args, 1.0, 1.0, args.steps_per_cell)
     ranked = harness.grid_search(
         spec, grid, budget, train_ds, test_ds, out_dir, workers=args.workers
     )
-    best = ranked[0]
     print(f"summary: {out_dir / 'summary.json'} ({len(ranked)} cells)")
-    print(f"best cell: {json.dumps(best)}")
+    if ranked[0]["diverged"]:  # diverged cells rank last
+        print(f"every cell diverged ({len(ranked)} cells)", file=sys.stderr)
+        return 3
+    print(f"best cell: {json.dumps(ranked[0])}")
     return 0
 
 
@@ -380,9 +380,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.forget_bias is not None and args.cell != "lstm":
-        raise UsageError("--forget-bias only applies to --cell lstm")
-    bound = GRADCHECK_BOUNDS[args.activation]
+    _check_cell_flags(args)
+    activation = args.activation or "relu"  # an lstm is checked against the relu bound
+    bound = GRADCHECK_BOUNDS[activation]
     ok = True
     for head, classes in (("regression", 0), ("softmax", 10)):
         spec = ModelSpec(
@@ -390,7 +390,7 @@ def cmd_gradcheck(args) -> int:
             hidden=5,
             input_dim=2,
             head=head,
-            activation=args.activation,
+            activation=activation,
             classes=classes,
             forget_bias=args.forget_bias if args.forget_bias is not None else 1.0,
         )
@@ -398,7 +398,7 @@ def cmd_gradcheck(args) -> int:
         status = "ok" if report.max_rel_err < bound else "FAIL"
         ok = ok and report.max_rel_err < bound
         print(
-            f"{args.cell}/{args.activation}/{head}: max_rel_err {report.max_rel_err:.3e}"
+            f"{args.cell}/{activation}/{head}: max_rel_err {report.max_rel_err:.3e}"
             f" (bound {bound:g}, worst block {report.worst_block()},"
             f" {report.trials} trials, {report.redrawn} redrawn) {status}"
         )

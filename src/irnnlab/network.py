@@ -6,11 +6,12 @@ scores it with mean squared error (regression) or cross-entropy (softmax
 classification), averaged over the batch. ``forward`` keeps the kernel's
 tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
 [h; x; 1], the (G*H, B) pre-activations or LSTM gate activations stacked
-i|f|o|g, and the LSTM cell states); ``score``, which ``harness.evaluate``
+i|f|o|g, and the LSTM cell states) in a ``Tape`` together with h_T and the
+loss gradient at the head outputs; ``score``, which ``harness.evaluate``
 runs on every chunk, runs the same kernel with reused scratch slots
-instead. ``backward`` injects the head's delta at h_T and runs the cell's
-backward kernel over the tape, which returns exact gradients for every
-parameter block.
+instead. ``backward`` carries that gradient through the head to h_T and runs
+the cell's backward kernel over the tape, which returns exact gradients for
+every parameter block.
 
 Checkpoint format (little-endian throughout):
 
@@ -21,7 +22,8 @@ Checkpoint format (little-endian throughout):
     offset 32   int64 input_dim
     offset 40   int64 head (0 regression, 1 softmax)
     offset 48   int64 classes (0 for regression)
-    offset 56   int64 init kind (0 baseline default, 1 identity, 2 iscale, 3 gauss)
+    offset 56   int64 init kind: index in ``init.KINDS`` (0 baseline, 1 identity,
+                2 iscale, 3 gauss; 0 for lstm)
     offset 64   float64 init value
     offset 72   float64 input_init_std
     offset 80   float64 forget_bias
@@ -29,7 +31,8 @@ Checkpoint format (little-endian throughout):
                 (rnn: W, V, b, U, c; lstm: Wi, Vi, bi, Wf, Vf, bf, Wo, Vo,
                 bo, Wg, Vg, bg, U, c)
 
-``load_checkpoint`` validates the header and the spec, then reads the blocks
+``load_checkpoint`` validates the header and the spec (so a field that does not
+apply, such as an lstm's activation, must hold its one allowed value), then reads the blocks
 through ``ndcore.read_payload`` as one float64 array that they are views of.
 """
 
@@ -52,7 +55,7 @@ from .cells import (
     rnn_backward,
     rnn_forward,
 )
-from .init import DEFAULT_INPUT_STD, InitScheme
+from .init import DEFAULT_INPUT_STD, KINDS, InitScheme
 from .ndcore import DivergenceError, Rng, ShapeError, read_payload
 
 CellParams = Union[RnnParams, LstmParams]
@@ -68,9 +71,9 @@ class ModelSpec:
     hidden: int
     input_dim: int
     head: str  # "regression" | "softmax"
-    activation: str = "relu"  # rnn only
-    classes: int = 0  # softmax only
-    init: InitScheme | None = None  # rnn only; None = activation-matched baseline
+    activation: str = "relu"  # rnn only; relu for an lstm
+    classes: int = 0  # softmax only; 0 for regression
+    init: InitScheme = InitScheme("baseline")  # rnn only; baseline for an lstm
     input_init_std: float = DEFAULT_INPUT_STD
     forget_bias: float = 1.0  # lstm only
 
@@ -83,8 +86,16 @@ class ModelSpec:
             raise ValueError(f"hidden and input_dim must be >= 1, got {self.hidden}, {self.input_dim}")
         if self.head == "softmax" and self.classes < 2:
             raise ValueError(f"softmax head needs classes >= 2, got {self.classes}")
-        if self.cell == "rnn" and self.activation not in ACTIVATIONS:
+        if self.head == "regression" and self.classes != 0:
+            raise ValueError(f"regression head takes classes 0, got {self.classes}")
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not isinstance(self.init, InitScheme):
+            raise TypeError(f"init must be an InitScheme, got {self.init!r}")
+        if self.cell == "lstm" and (self.activation, self.init.kind) != ("relu", "baseline"):
+            raise ValueError(
+                f"an lstm takes activation relu and init baseline, got {self.activation} and {self.init.kind}"
+            )
         if not 0 <= self.input_init_std < math.inf:
             raise ValueError(f"input_init_std must be finite and >= 0, got {self.input_init_std}")
         if not math.isfinite(self.forget_bias):
@@ -137,8 +148,7 @@ class Tape:
     spec: ModelSpec
     cell: CellTape
     h_last: np.ndarray
-    predictions: np.ndarray  # (B,) predictions or (B, K) probabilities
-    batch: SequenceBatch
+    dlogits: np.ndarray  # (B, K) gradient of the mean loss at the head outputs
 
 
 @dataclass
@@ -162,24 +172,24 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
     Draw order is fixed: recurrent matrix (when random), input matrix, bias,
     then head U and c. The RNN recurrent matrix is ``np.eye(H)`` for identity,
     ``np.eye(H) * s`` for iscale:<s> and Gaussian(0, std**2) for gauss:<std>;
-    V and b are Gaussian(input_init_std). With ``init=None`` the RNN uses the
-    activation-matched baseline: tanh gets W ~ N(0, 1/H), V ~ N(0, 1/D) and a
-    zero b; relu/linear get Gaussian(input_init_std) everywhere. LSTM gate
+    V and b are Gaussian(input_init_std). The baseline scheme is matched to
+    the activation: tanh gets W ~ N(0, 1/H), V ~ N(0, 1/D) and a zero b;
+    relu/linear get Gaussian(input_init_std) everywhere. LSTM gate
     weights are Gaussian(input_init_std); gate biases are zero except the
     forget bias, which is set to ``forget_bias``.
     """
     h, d, std = spec.hidden, spec.input_dim, spec.input_init_std
     if spec.cell == "rnn":
-        if spec.init is None and spec.activation == "tanh":
+        kind, value = spec.init.kind, spec.init.value
+        if kind == "baseline" and spec.activation == "tanh":
             w = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h))
             v = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
             b = np.zeros(h, dtype=np.float64)
         else:
-            scheme = spec.init or InitScheme("gauss", std)
-            if scheme.kind == "gauss":
-                w = rng.normal(0.0, scheme.value, size=(h, h))
+            if kind in ("baseline", "gauss"):
+                w = rng.normal(0.0, value if kind == "gauss" else std, size=(h, h))
             else:
-                w = np.eye(h) * scheme.value if scheme.kind == "iscale" else np.eye(h)
+                w = np.eye(h) * value if kind == "iscale" else np.eye(h)
             v = rng.normal(0.0, std, size=(h, d))
             b = rng.normal(0.0, std, size=h)
         params: CellParams = RnnParams(W=w, V=v, b=b, activation=spec.activation)
@@ -203,9 +213,11 @@ def param_blocks(params: CellParams, head: HeadParams) -> dict[str, np.ndarray]:
 
 def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch, keep: bool):
     """Check the batch, run the cell kernel (taped when ``keep``, on scratch
-    slots otherwise) and score h_T; returns (mean loss, predictions, h_T, cell
-    tape). Predictions are (B,) scalars or (B, K) probabilities."""
-    targets = batch.targets
+    slots otherwise) and score h_T; returns (mean loss, predictions, hits,
+    tape). Predictions are (B,) scalars or (B, K) probabilities; hits counts
+    the lanes whose argmax class is the label (softmax; a tie goes to the
+    lowest class) or is 0 (regression)."""
+    targets, b = batch.targets, batch.size
     if spec.head == "softmax":
         if not np.issubdtype(targets.dtype, np.integer):
             raise ShapeError(f"softmax targets must be integer labels, got dtype {targets.dtype}")
@@ -221,32 +233,32 @@ def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceB
             predictions = logits[:, 0]
             residual = predictions - targets
             loss = float(np.mean(residual * residual))
+            dlogits = (2.0 / b) * residual[:, None]
+            hits = 0
         else:
             shifted = logits - logits.max(axis=1, keepdims=True)
             expz = np.exp(shifted)
             predictions = expz / expz.sum(axis=1, keepdims=True)
-            picked = predictions[np.arange(batch.size), targets]
-            loss = float(-np.mean(np.log(picked)))
+            lanes = np.arange(b)
+            loss = float(-np.mean(np.log(predictions[lanes, targets])))
+            hits = int(np.sum(np.argmax(predictions, axis=1) == targets))
+            dlogits = predictions.copy()
+            dlogits[lanes, targets] -= 1.0
+            dlogits /= b
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
-    return loss, predictions, h_last, cell
+    return loss, predictions, hits, Tape(spec=spec, cell=cell, h_last=h_last, dlogits=dlogits)
 
 
 def forward(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> ForwardResult:
     """Full-sequence forward pass; returns (loss, predictions, tape)."""
-    loss, predictions, h_last, cell = _run(spec, params, head, batch, keep=True)
-    tape = Tape(spec=spec, cell=cell, h_last=h_last, predictions=predictions, batch=batch)
+    loss, predictions, _, tape = _run(spec, params, head, batch, keep=True)
     return ForwardResult(loss, predictions, tape)
 
 
 def score(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> tuple[float, int]:
-    """Tape-free pass; returns the loss summed over the batch and the number of
-    lanes whose argmax class is the label (softmax; a tie goes to the lowest
-    class) or 0 (regression)."""
-    loss, predictions, _, _ = _run(spec, params, head, batch, keep=False)
-    hits = 0
-    if spec.head == "softmax":
-        hits = int(np.sum(np.argmax(predictions, axis=1) == batch.targets))
+    """Tape-free pass; returns the loss summed over the batch and the hit count (see ``_run``)."""
+    loss, _, hits, _ = _run(spec, params, head, batch, keep=False)
     return loss * batch.size, hits
 
 
@@ -258,29 +270,17 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
     """
     if tape.spec != spec:
         raise ValueError("tape was produced under a different model spec")
-    if tape.h_last.shape[1] != spec.hidden or tape.cell.steps != tape.batch.steps:
-        raise ShapeError("tape does not match the given spec/batch")
-    b = tape.batch.size
-    h_last = tape.h_last
-    if spec.head == "regression":
-        dpred = (2.0 / b) * (tape.predictions - tape.batch.targets)
-        du = (dpred @ h_last)[None, :]
-        dc_head = np.array([dpred.sum()])
-        dh = dpred[:, None] * head.U
-    else:
-        dlogits = tape.predictions.copy()
-        dlogits[np.arange(b), tape.batch.targets] -= 1.0
-        dlogits /= b
-        du = dlogits.T @ h_last
-        dc_head = dlogits.sum(axis=0)
-        dh = dlogits @ head.U
+    if tape.h_last.shape[1] != spec.hidden:
+        raise ShapeError("tape does not match the given spec")
+    dlogits = tape.dlogits
+    dh = dlogits @ head.U
     dh_last = dh.copy()
     if spec.cell == "rnn":
         dh, blocks = rnn_backward(params, tape.cell, dh)
     else:
         dh, _, blocks = lstm_backward(params, tape.cell, dh, np.zeros_like(dh))
-    blocks["U"] = du
-    blocks["c"] = dc_head
+    blocks["U"] = dlogits.T @ tape.h_last
+    blocks["c"] = dlogits.sum(axis=0)
     return Gradients(blocks=blocks, dh0=dh, dh_last=dh_last)
 
 
@@ -293,7 +293,7 @@ _HEADER = (
     ("input_dim", "q", None),
     ("head", "q", ("regression", "softmax")),
     ("classes", "q", None),
-    ("init kind", "q", (None, "identity", "iscale", "gauss")),
+    ("init kind", "q", KINDS),
     ("init value", "d", None),
     ("input_init_std", "d", None),
     ("forget_bias", "d", None),
@@ -310,12 +310,7 @@ def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:
     """Write spec and parameters in the flat binary format documented above."""
-    fields = {
-        **vars(spec),
-        "activation": spec.activation if spec.cell == "rnn" else "relu",
-        "init kind": None if spec.init is None else spec.init.kind,
-        "init value": 0.0 if spec.init is None else spec.init.value,
-    }
+    fields = {**vars(spec), "init kind": spec.init.kind, "init value": spec.init.value}
     header = _SPEC_STRUCT.pack(
         CHECKPOINT_MAGIC,
         *(fields[field] if names is None else names.index(fields[field]) for field, _, names in _HEADER),
@@ -342,7 +337,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
                 raise ValueError(f"{path}: non-finite {field} {value} at offset {offset}")
             fields[field] = value if names is None else names[value]
         kind, value = fields.pop("init kind"), fields.pop("init value")
-        spec = ModelSpec(**fields, init=None if kind is None else InitScheme(kind, value))
+        spec = ModelSpec(**fields, init=InitScheme(kind, value))
         shapes = _block_shapes(spec)
         sizes = [math.prod(shape) for shape in shapes.values()]
         payload = read_payload(fh, path, _SPEC_STRUCT.size, (sum(sizes),), "<f8")

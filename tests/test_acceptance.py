@@ -166,7 +166,7 @@ def _t200_datasets():
 def test_criterion_6a_tanh_never_learns_t200():
     # tanh at the same 0.001-scale Gaussian init as the other small-init
     # baselines: the historical comparison lives at that scale. (The stronger
-    # 1/sqrt(H) tanh baseline, init=None, partially learns T=200 - best MSE
+    # 1/sqrt(H) tanh baseline, InitScheme("baseline"), partially learns T=200 - best MSE
     # 0.077 at lr=0.01/gc=1 in 20k updates - so it is not the failing model
     # this comparison encodes.)
     train_ds, test_ds = _t200_datasets()
@@ -246,7 +246,7 @@ def test_criterion_7_pooled_sequential_mnist():
                              activation="relu", init=il.InitScheme("identity"))
     irnn_acc = best_accuracy(irnn_spec, (1e-6, 1e-7, 1e-8), 1.0, 700)
     tanh_spec = il.ModelSpec(cell="rnn", hidden=100, input_dim=1, head="softmax", classes=10,
-                             activation="tanh", init=None)
+                             activation="tanh", init=il.InitScheme("baseline"))
     tanh_acc = best_accuracy(tanh_spec, (1e-6, 1e-7, 1e-8), 1.0, 800)
     assert irnn_acc > 0.80, f"IRNN accuracy {irnn_acc:.3f} not above 0.80"
     assert irnn_acc - tanh_acc >= 0.10, f"IRNN {irnn_acc:.3f} vs tanh {tanh_acc:.3f}: gap < 10 points"

@@ -489,6 +489,29 @@ class TestGridSearchCli:
         assert f"{flag}: list values must be finite, got {text!r}" in capsys.readouterr().err
         assert not out.exists()  # no manifest and no cell_000.csv
 
+    def test_every_cell_diverged_exits_3_without_best_cell(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "lstm", "--hidden", "4",
+                       "--lrs", "1e200", "--clips", "1e300", "--forget-biases", "4,1",
+                       "--steps-per-cell", "5", "--eval-every", "5",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "every cell diverged (2 cells)" in captured.err
+        assert "best cell" not in captured.out
+        assert [row["diverged"] for row in json.loads((out / "summary.json").read_text())] == [True, True]
+
+    def test_zero_steps_per_cell_exits_1_before_training(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "rnn", "--lrs", "0.01", "--clips", "1",
+                       "--steps-per-cell", "0", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out))
+        assert code == 1
+        assert "--steps-per-cell must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forget_bias_not_a_grid_flag(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         with pytest.raises(SystemExit) as exc:
@@ -509,3 +532,14 @@ class TestGradcheckCli:
         assert run_cli("gradcheck", "--cell", "rnn", "--activation", "linear",
                        "--trials", "3", "--seed", "0") == 0
         assert "1e-06" in capsys.readouterr().out
+
+    def test_activation_rejected_for_lstm(self, capsys):
+        assert run_cli("gradcheck", "--cell", "lstm", "--activation", "linear", "--trials", "1") == 1
+        captured = capsys.readouterr()
+        assert "--activation only apply to --cell rnn" in captured.err
+        assert captured.out == ""
+
+    def test_lstm_uses_the_relu_bound(self, capsys):
+        assert run_cli("gradcheck", "--cell", "lstm", "--trials", "1", "--seed", "0") == 0
+        out = capsys.readouterr().out
+        assert out.count("lstm/relu/") == 2 and "(bound 0.0001," in out

@@ -27,6 +27,7 @@ from irnnlab import (
     save_adding,
     save_checkpoint,
 )
+from irnnlab.cli import main
 from irnnlab.tasks import DataFormatError
 
 IMAGES = np.random.default_rng(5).integers(0, 256, size=(6, 4, 4), dtype=np.uint8)
@@ -124,3 +125,41 @@ def test_header_declaring_a_huge_payload_is_rejected_unallocated(formats, tmp_pa
 
     _, peak = peak_traced_bytes(rejected)
     assert peak < 2**20
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoints(tmp_path_factory):
+    """An adding test set and the checkpoints that ``train`` writes for an IRNN and an LSTM."""
+    root = tmp_path_factory.mktemp("trained")
+    save_adding(gen_adding(4, 8, make_rng(3)), root / "data.addp")
+    for cell, init in (("rnn", ["--init", "identity"]), ("lstm", [])):
+        code = main(["train", "--task", "adding", "--cell", cell, *init, "--hidden", "3", "--lr", "0.01",
+                     "--clip", "1", "--steps", "1", "--eval-every", "1", "--data", str(root / "data.addp"),
+                     str(root / "data.addp"), "--out-dir", str(root / cell)])
+        assert code == 0
+    return root
+
+
+# header fields (offset, 8 bytes) that do not apply to the model, so no spec holds them
+NOT_APPLICABLE = [
+    ("lstm", [(16, struct.pack("<q", 1))], "an lstm takes activation relu and init baseline, got tanh"),
+    ("lstm", [(56, struct.pack("<q", 2)), (64, struct.pack("<d", 0.5))],
+     "an lstm takes activation relu and init baseline, got relu and iscale"),
+    ("rnn", [(48, struct.pack("<q", 7))], "regression head takes classes 0, got 7"),
+    ("lstm", [(48, struct.pack("<q", 7))], "regression head takes classes 0, got 7"),
+    ("rnn", [(64, struct.pack("<d", 3.0))], "identity takes no parameter, got 3.0"),
+]
+
+
+@pytest.mark.parametrize("cell,patches,message", NOT_APPLICABLE,
+                         ids=["lstm-tanh", "lstm-iscale", "rnn-classes-7", "lstm-classes-7", "identity-3"])
+def test_checkpoint_field_that_does_not_apply_exits_2(trained_checkpoints, tmp_path, capsys, cell, patches,
+                                                      message):
+    data = bytearray((trained_checkpoints / cell / "checkpoint.irnn").read_bytes())
+    for offset, field in patches:
+        data[offset : offset + 8] = field
+    path = tmp_path / "patched.irnn"
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--data", str(trained_checkpoints / "data.addp")]) == 2
+    assert message in capsys.readouterr().err

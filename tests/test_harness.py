@@ -205,13 +205,14 @@ class SlowChunk:
 def multi_chunk_case(cell, head):
     """A model and a 2500-sequence test set: chunks of 1000, 1000 and 500."""
     rng = make_rng(41)
+    init = InitScheme("gauss", 0.5) if cell == "rnn" else InitScheme("baseline")
     if head == "regression":
         spec = ModelSpec(cell=cell, hidden=10, input_dim=2, head="regression", activation="relu",
-                         init=InitScheme("gauss", 0.5) if cell == "rnn" else None, input_init_std=0.5)
+                         init=init, input_init_std=0.5)
         ds = gen_adding(8, 2500, rng)
     else:
-        spec = ModelSpec(cell=cell, hidden=10, input_dim=1, head="softmax", classes=4, activation="tanh",
-                         init=InitScheme("gauss", 0.5) if cell == "rnn" else None, input_init_std=0.5)
+        spec = ModelSpec(cell=cell, hidden=10, input_dim=1, head="softmax", classes=4,
+                         activation="tanh" if cell == "rnn" else "relu", init=init, input_init_std=0.5)
         ds = PixelSequenceDataset(floats=rng.uniform(size=(2500, 9)), labels=rng.integers(0, 4, size=2500))
     params, head_params = init_params(spec, rng)
     return spec, params, head_params, ds

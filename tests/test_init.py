@@ -4,7 +4,7 @@ import pytest
 from irnnlab import InitScheme, ModelSpec, init_params, make_rng, parse_scheme
 
 
-def rnn_draw(seed, hidden, input_dim, init=None, activation="relu", input_init_std=0.001):
+def rnn_draw(seed, hidden, input_dim, init=InitScheme("baseline"), activation="relu", input_init_std=0.001):
     """The (W, V, b) that ``init_params`` draws for an RNN spec from ``make_rng(seed)``."""
     spec = ModelSpec(cell="rnn", hidden=hidden, input_dim=input_dim, head="regression",
                      activation=activation, init=init, input_init_std=input_init_std)
@@ -13,6 +13,9 @@ def rnn_draw(seed, hidden, input_dim, init=None, activation="relu", input_init_s
 
 
 class TestScheme:
+    def test_parse_baseline(self):
+        assert parse_scheme("baseline") == InitScheme("baseline") == InitScheme("baseline", 0.0)
+
     def test_parse_identity(self):
         assert parse_scheme("identity") == InitScheme("identity")
 
@@ -22,7 +25,7 @@ class TestScheme:
     def test_parse_gauss(self):
         assert parse_scheme("gauss:0.001") == InitScheme("gauss", 0.001)
 
-    @pytest.mark.parametrize("bad", ["identity:3", "iscale", "gauss", "orthogonal", "iscale:x"])
+    @pytest.mark.parametrize("bad", ["baseline:0.1", "identity:3", "iscale", "gauss", "orthogonal", "iscale:x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_scheme(bad)
@@ -33,7 +36,12 @@ class TestScheme:
         with pytest.raises(ValueError):
             InitScheme("gauss", -0.1)
 
-    @pytest.mark.parametrize("kind", ["iscale", "gauss"])
+    @pytest.mark.parametrize("kind", ["baseline", "identity"])
+    def test_nonzero_parameter_rejected_where_none_applies(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} takes no parameter, got 3.0"):
+            InitScheme(kind, 3.0)
+
+    @pytest.mark.parametrize("kind", ["baseline", "identity", "iscale", "gauss"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_parameter_rejected(self, kind, value):
         with pytest.raises(ValueError, match=f"{kind} parameter must be finite"):
@@ -62,6 +70,12 @@ class TestInitRecurrent:
         assert abs(big.mean()) < 0.0005
         assert 0.0005 < big.std() < 0.0015
         assert np.array_equal(big, rnn_draw(2, 100, 2, InitScheme("gauss", 0.001))[0])
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_baseline_is_gauss_at_input_std_for_relu_and_linear(self, activation):
+        for x, y in zip(rnn_draw(8, 6, 2, activation=activation, input_init_std=0.01),
+                        rnn_draw(8, 6, 2, InitScheme("gauss", 0.01), activation, input_init_std=0.01)):
+            assert np.array_equal(x, y)
 
     def test_rejects_zero_hidden(self):
         for scheme in (InitScheme("identity"), InitScheme("iscale", 0.5), InitScheme("gauss", 0.1)):

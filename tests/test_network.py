@@ -236,9 +236,10 @@ class TestBackward:
         # mean-reduced loss: the batch gradient equals the average of the
         # gradients of each lane trained alone
         rng = make_rng(20)
+        rnn_only = {"activation": "tanh", "init": InitScheme("gauss", 0.3)}
         for cell in ("rnn", "lstm"):
             spec = ModelSpec(cell=cell, hidden=4, input_dim=2, head="regression",
-                             activation="tanh", init=InitScheme("gauss", 0.3))
+                             **(rnn_only if cell == "rnn" else {}))
             params, head = init_params(spec, rng)
             inputs = rng.normal(size=(6, 3, 2))
             targets = rng.normal(size=3)
@@ -272,8 +273,9 @@ class TestScore:
         # the tape-free pass sums forward's mean loss over the lanes bit for bit and
         # counts the lanes whose argmax of forward's probabilities is the label
         rng = make_rng(19)
+        rnn_only = {"activation": "tanh", "init": InitScheme("gauss", 0.5)} if cell == "rnn" else {}
         spec = ModelSpec(cell=cell, hidden=4, input_dim=2, head=head, classes=6 if head == "softmax" else 0,
-                         activation="tanh", init=InitScheme("gauss", 0.5), input_init_std=0.5)
+                         input_init_std=0.5, **rnn_only)
         params, head_params = init_params(spec, rng)
         targets = rng.integers(0, 6, 8) if head == "softmax" else rng.normal(size=8)
         batch = SequenceBatch(inputs=rng.normal(size=(5, 8, 2)), targets=targets)
@@ -337,7 +339,7 @@ class TestCheckpoint:
             ModelSpec(cell="rnn", hidden=7, input_dim=2, head="regression",
                       activation="relu", init=InitScheme("identity")),
             ModelSpec(cell="rnn", hidden=5, input_dim=3, head="softmax", classes=10,
-                      activation="tanh", init=None),
+                      activation="tanh", init=InitScheme("baseline")),
             ModelSpec(cell="rnn", hidden=4, input_dim=2, head="regression",
                       activation="linear", init=InitScheme("iscale", 0.01)),
             ModelSpec(cell="lstm", hidden=6, input_dim=1, head="softmax", classes=10,
@@ -417,7 +419,9 @@ class TestCheckpoint:
          (0, 0, 5, 1, 1, 10, 2, 0.01, 0.001, 1.0)),
         (ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression", forget_bias=20.0),
          (1, 0, 4, 2, 0, 0, 0, 0.0, 0.001, 20.0)),
-    ], ids=["rnn-iscale-softmax", "lstm-forget-bias-20"])
+        (ModelSpec(cell="rnn", hidden=3, input_dim=2, head="regression", activation="tanh"),
+         (0, 1, 3, 2, 0, 0, 0, 0.0, 0.001, 1.0)),
+    ], ids=["rnn-iscale-softmax", "lstm-forget-bias-20", "rnn-tanh-baseline"])
     def test_header_bytes_pinned(self, tmp_path, spec, fields):
         # (cell, activation, hidden, input_dim, head, classes, init kind, init value,
         #  input_init_std, forget_bias), as the README lists them
@@ -445,3 +449,21 @@ class TestModelSpecValidation:
     def test_rejects_non_finite_float(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression", **{field: value})
+
+    def test_init_defaults_to_baseline(self):
+        for cell in ("rnn", "lstm"):
+            assert ModelSpec(cell=cell, hidden=4, input_dim=2, head="regression").init == InitScheme("baseline")
+
+    def test_rejects_init_none(self):
+        with pytest.raises(TypeError, match="init must be an InitScheme"):
+            ModelSpec(cell="rnn", hidden=4, input_dim=2, head="regression", init=None)
+
+    @pytest.mark.parametrize("fields", [{"activation": "tanh"}, {"init": InitScheme("identity")},
+                                        {"init": InitScheme("gauss", 0.1)}])
+    def test_lstm_rejects_rnn_only_choices(self, fields):
+        with pytest.raises(ValueError, match="an lstm takes activation relu and init baseline"):
+            ModelSpec(cell="lstm", hidden=4, input_dim=2, head="regression", **fields)
+
+    def test_regression_rejects_classes(self):
+        with pytest.raises(ValueError, match="regression head takes classes 0, got 7"):
+            ModelSpec(cell="rnn", hidden=4, input_dim=2, head="regression", classes=7)
