@@ -326,6 +326,8 @@ def cmd_train(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} is required (or use --manifest)")
     if args.steps is None:
         args.steps = DEFAULT_STEPS[args.task]
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     spec, cfg, train_ds, test_ds, out_dir = _set_up(args, args.lr, args.clip, args.steps)
 
     with harness.metrics_csv(out_dir / "metrics.csv") as write_row:

@@ -75,7 +75,7 @@ class ModelSpec:
     classes: int = 0  # softmax only; 0 for regression
     init: InitScheme = InitScheme("baseline")  # rnn only; baseline for an lstm
     input_init_std: float = DEFAULT_INPUT_STD
-    forget_bias: float = 1.0  # lstm only
+    forget_bias: float = 1.0  # lstm only; 1.0 for an rnn
 
     def __post_init__(self):
         if self.cell not in ("rnn", "lstm"):
@@ -100,6 +100,8 @@ class ModelSpec:
             raise ValueError(f"input_init_std must be finite and >= 0, got {self.input_init_std}")
         if not math.isfinite(self.forget_bias):
             raise ValueError(f"forget_bias must be finite, got {self.forget_bias}")
+        if self.cell == "rnn" and self.forget_bias != 1.0:
+            raise ValueError(f"an rnn takes forget_bias 1.0, got {self.forget_bias}")
 
     @property
     def head_dim(self) -> int:

@@ -19,9 +19,9 @@ magic 0x00000803 for images, 0x00000801 for labels, which must be digits
 one pixel each, scanline order, scaled to [0, 1]; an optional fixed
 permutation reorders the pixel sequence identically for every image, and an
 optional average-pool downsample (to any side dividing 28) shortens the
-sequence for desk-scale runs. The set keeps integer pixels (the image bytes,
-or exact block sums when pooled); floats are built only for the rows of each
-minibatch drawn from it.
+sequence for desk-scale runs. The set keeps only the image bytes and that
+recipe; each minibatch pools and permutes the rows it draws, in integers, and
+only then builds their floats.
 """
 
 from __future__ import annotations
@@ -231,17 +231,19 @@ class PixelSequenceDataset:
 
 @dataclass
 class PixelImageDataset:
-    """Integer pixel sequences (N, T) in scanline order, labels (N,), and the
-    permutation applied to every sequence; a pixel is a sum of ``pool`` bytes.
-    Floats in [0, 1] are built only for the rows drawn."""
+    """The images' own bytes (N, side*side) in scanline order, labels (N,), and the
+    recipe every batch applies: average-pool each ``factor`` x ``factor`` block, then
+    reorder the pooled sequence by ``permutation``. Floats in [0, 1] are built only
+    for the rows drawn."""
 
-    pixels: np.ndarray
+    images: np.ndarray
     labels: np.ndarray
+    side: int
+    factor: int
     permutation: np.ndarray
-    pool: int
 
     def __len__(self) -> int:
-        return self.pixels.shape[0]
+        return self.images.shape[0]
 
     @property
     def floats(self) -> np.ndarray:
@@ -249,10 +251,25 @@ class PixelImageDataset:
         return self.batch(slice(None)).inputs[:, :, 0].T
 
     def batch(self, indices) -> SequenceBatch:
-        """Inputs of shape (T, B, 1): the rows gathered and permuted in integers, then
-        divided by ``pool`` and by 255, the float block mean's own two roundings
-        (dividing by 1 is exact), so the values match it bit for bit."""
-        inputs = np.divide(self.pixels[indices].T[self.permutation], self.pool, dtype=np.float64)
+        """Inputs of shape (T, B, 1). The rows drawn are pooled in integers, the
+        ``factor`` row views of each block summed and then its ``factor`` column
+        views, exact in uint16 while 255 * factor**2 fits and in uint32 beyond. The
+        sums are permuted, then divided by factor**2 and by 255, the float block
+        mean's own two roundings (dividing by 1 is exact), so the values match it
+        bit for bit."""
+        pixels, f, side = self.images[indices], self.factor, self.side
+        if f > 1:
+            n = len(pixels)
+            by_row = pixels.reshape(n, side // f, f, side)
+            sums = by_row[:, :, 0].astype(np.uint16 if 255 * f * f <= np.iinfo(np.uint16).max else np.uint32)
+            for i in range(1, f):
+                sums += by_row[:, :, i]
+            by_col = sums.reshape(n, side // f, side // f, f)
+            pixels = by_col[..., 0].copy()
+            for j in range(1, f):
+                pixels += by_col[..., j]
+            pixels = pixels.reshape(n, len(self.permutation))
+        inputs = np.divide(pixels.T[self.permutation], f * f, dtype=np.float64)
         inputs /= 255.0
         return SequenceBatch(inputs=inputs[:, :, None], targets=self.labels[indices])
 
@@ -262,29 +279,17 @@ def prepare_pixel_sequences(
     permutation: np.ndarray | None = None,
     downsample: int | None = None,
 ) -> PixelImageDataset:
-    """Every image as a sequence of T = side*side integer pixels, ready for batching.
+    """Every image as a sequence of T = side*side pixels, ready for batching.
 
-    Without downsampling the set holds the images' own bytes, uncopied.
-    Downsampling average-pools by summing each factor x factor block from
-    the factor**2 strided views straight into the small result, exact in
-    uint16 while 255 * factor**2 fits and in uint32 beyond. The permutation
-    reorders the pixel sequence identically for every image when a batch
-    is drawn, so no float array of the whole set is built.
+    The set holds the images' own bytes, uncopied, whatever the side: this
+    checks that the side divides the image side and that the permutation is
+    a bijection, and leaves pooling and permuting to each batch, so no array
+    of the whole set is built.
     """
     side = ds.side if downsample is None else downsample
     if side < 1 or ds.side % side != 0:
         raise ValueError(f"downsample side {side} does not divide image side {ds.side}")
-    factor = ds.side // side
-    pixels = ds.images
-    if factor > 1:
-        imgs = ds.images.reshape(-1, ds.side, ds.side)
-        dtype = np.uint16 if 255 * factor * factor <= np.iinfo(np.uint16).max else np.uint32
-        sums = np.zeros((len(ds), side, side), dtype=dtype)
-        for i in range(factor):
-            for j in range(factor):
-                sums += imgs[:, i::factor, j::factor]
-        pixels = sums.reshape(-1, side * side)
     permutation = np.arange(side * side) if permutation is None else np.asarray(permutation)
     _validate_permutation(permutation, side * side)
-    return PixelImageDataset(pixels=pixels, labels=ds.labels.astype(np.int64), permutation=permutation,
-                             pool=factor * factor)
+    return PixelImageDataset(images=ds.images, labels=ds.labels.astype(np.int64), side=ds.side,
+                             factor=ds.side // side, permutation=permutation)

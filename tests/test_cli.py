@@ -216,6 +216,31 @@ class TestTrain:
         assert code == 1
         assert "--init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_1_exits_1_before_writing(self, adding_files, tmp_path, capsys, steps):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--lr", "0.1", "--clip", "1",
+                       "--steps", steps, "--data", str(train_file), str(test_file), "--out-dir", str(out))
+        assert code == 1
+        assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_steps_below_1_exits_1_before_writing(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4", "--lr", "0.1",
+                       "--clip", "1", "--steps", "1", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["flags"]["steps"] = 0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", str(edited), "--out-dir", str(tmp_path / "replay")) == 1
+        assert "--steps must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--task", "adding", "--cell", "rnn", "--frobnicate", "1")
@@ -248,7 +273,7 @@ class TestTrain:
         train_file, test_file = adding_files
         out = tmp_path / "run"
         assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
-                       "--lr", "0.05", "--clip", "1", "--steps", "0",
+                       "--lr", "0.05", "--clip", "1", "--steps", "1",
                        "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(mutate(json.loads((out / "manifest.json").read_text()))))
@@ -301,7 +326,7 @@ class TestEval:
         img_path, lab_path, _, _ = synthetic_mnist
         out = tmp_path / "run"
         code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
-                       "--downsample", "7", "--lr", "1e-8", "--clip", "1", "--steps", "0",
+                       "--downsample", "7", "--lr", "1e-8", "--clip", "1", "--steps", "1",
                        "--eval-every", "10", "--data", str(img_path), str(lab_path),
                        str(img_path), str(lab_path), "--out-dir", str(out))
         assert code == 0
@@ -336,7 +361,7 @@ class TestEval:
         img_path, lab_path, _, _ = synthetic_mnist
         out = tmp_path / "run"
         assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
-                       "--lr", "1e-8", "--clip", "1", "--steps", "0", "--data", str(img_path),
+                       "--lr", "1e-8", "--clip", "1", "--steps", "1", "--data", str(img_path),
                        str(lab_path), str(img_path), str(lab_path), "--out-dir", str(out)) == 0
         empty_images, empty_labels, offset = empty_idx(empty)
         capsys.readouterr()
@@ -349,7 +374,7 @@ class TestEval:
         img_path, lab_path, _, _ = synthetic_mnist
         out = tmp_path / "run"
         assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
-                       "--lr", "1e-8", "--clip", "1", "--steps", "0", "--data", str(img_path),
+                       "--lr", "1e-8", "--clip", "1", "--steps", "1", "--data", str(img_path),
                        str(lab_path), str(img_path), str(lab_path), "--out-dir", str(out)) == 0
         capsys.readouterr()
         code = run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
@@ -373,7 +398,7 @@ class TestEval:
         train_file, test_file = adding_files
         out = tmp_path / "run"
         assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
-                       "--lr", "0.05", "--clip", "1", "--steps", "0",
+                       "--lr", "0.05", "--clip", "1", "--steps", "1",
                        "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
@@ -384,7 +409,7 @@ class TestEval:
         train_file, test_file = adding_files
         out = tmp_path / "run"
         assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4",
-                       "--lr", "0.05", "--clip", "1", "--steps", "0", "--eval-every", "10",
+                       "--lr", "0.05", "--clip", "1", "--steps", "1", "--eval-every", "10",
                        "--data", str(train_file), str(test_file), "--out-dir", str(out)) == 0
         checkpoint = out / "checkpoint.irnn"
         data = bytearray(checkpoint.read_bytes())
@@ -400,15 +425,15 @@ class TestDataReader:
 
     @pytest.fixture
     def checkpoints(self, adding_files, synthetic_mnist, tmp_path):
-        """A regression and a softmax checkpoint, trained for 0 steps."""
+        """A regression and a softmax checkpoint, trained for 1 step."""
         train_file, test_file = adding_files
         img_path, lab_path, _, _ = synthetic_mnist
         out = {}
         for head, task, data in (("regression", "adding", [train_file, test_file]),
                                  ("softmax", "mnist", [img_path, lab_path, img_path, lab_path])):
             out[head] = tmp_path / head / "checkpoint.irnn"
-            assert run_cli("train", "--task", task, "--cell", "rnn", "--hidden", "4", "--lr", "0.05",
-                           "--clip", "1", "--steps", "0", "--data", *map(str, data),
+            assert run_cli("train", "--task", task, "--cell", "rnn", "--hidden", "4", "--lr", "1e-8",
+                           "--clip", "1", "--steps", "1", "--data", *map(str, data),
                            "--out-dir", str(out[head].parent)) == 0
         return out
 

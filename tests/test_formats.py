@@ -148,11 +148,13 @@ NOT_APPLICABLE = [
     ("rnn", [(48, struct.pack("<q", 7))], "regression head takes classes 0, got 7"),
     ("lstm", [(48, struct.pack("<q", 7))], "regression head takes classes 0, got 7"),
     ("rnn", [(64, struct.pack("<d", 3.0))], "identity takes no parameter, got 3.0"),
+    ("rnn", [(80, struct.pack("<d", 5.0))], "an rnn takes forget_bias 1.0, got 5.0"),
 ]
 
 
 @pytest.mark.parametrize("cell,patches,message", NOT_APPLICABLE,
-                         ids=["lstm-tanh", "lstm-iscale", "rnn-classes-7", "lstm-classes-7", "identity-3"])
+                         ids=["lstm-tanh", "lstm-iscale", "rnn-classes-7", "lstm-classes-7", "identity-3",
+                              "rnn-forget-bias-5"])
 def test_checkpoint_field_that_does_not_apply_exits_2(trained_checkpoints, tmp_path, capsys, cell, patches,
                                                       message):
     data = bytearray((trained_checkpoints / cell / "checkpoint.irnn").read_bytes())

@@ -352,17 +352,32 @@ class TestSequenceConversion:
 
     @pytest.mark.parametrize("side", [None, 14, 7])
     def test_builds_no_whole_set_float_array(self, side):
+        # nor a whole-set integer copy: pooled uint16 sums would take n * t * 2 bytes
         n = 2000
         ds = self.random_bytes(n)
         t = 784 if side is None else side * side
         _, peak = peak_traced_bytes(
             lambda: prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=1), downsample=side)
         )
-        assert peak < n * t * 8
+        assert peak < n * t * 2 / 4
 
-    def test_unpooled_set_holds_the_image_bytes(self):
+    @pytest.mark.parametrize("side", [None, 14, 7])
+    def test_batch_allocates_for_its_rows_only(self, side):
+        t = 784 if side is None else side * side
+        prepared = prepare_pixel_sequences(self.random_bytes(2000), permutation=make_permutation(t, seed=1),
+                                           downsample=side)
+        idx = np.random.default_rng(2).integers(0, 2000, size=16)
+        batch, peak = peak_traced_bytes(lambda: prepared.batch(idx))
+        assert batch.inputs.shape == (t, 16, 1)
+        # 24 bytes a pixel of the 16 rows drawn is 301 KB; the whole set's bytes alone are 1.5 MB
+        assert peak < 16 * 784 * 24
+
+    def test_set_holds_the_image_bytes_at_every_side(self):
         ds = self.random_bytes(5)
-        assert prepare_pixel_sequences(ds, permutation=make_permutation(784, seed=1)).pixels is ds.images
+        for side in (None, 14, 7):
+            t = 784 if side is None else side * side
+            prepared = prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=1), downsample=side)
+            assert prepared.images is ds.images
 
 
 class TestPermutation:

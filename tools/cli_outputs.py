@@ -104,6 +104,12 @@ LATE_COMMANDS = [
     ("grid-lstm", ["grid-search", "--task", "adding", "--cell", "lstm", "--hidden", "4", "--lrs", "0.01,0.1",
                    "--clips", "1,100", "--forget-biases", "4,1", "--steps-per-cell", "20", "--eval-every", "10",
                    "--seed", "2", "--workers", "2", *ADDING, "--out-dir", "grid-lstm"]),
+    # pixel MNIST pooled to 14x14, the side of the pmnist-irnn-eval benchmark
+    ("train-mnist-14", ["train", "--task", "mnist", "--cell", "rnn", "--hidden", "6", "--downsample", "14",
+                        "--permute-seed", "7", "--lr", "0.01", "--clip", "1", "--steps", "8",
+                        "--eval-every", "4", "--batch", "8", *MNIST, "--out-dir", "mnist-14"]),
+    ("eval-mnist-14", ["eval", "--checkpoint", "mnist-14/checkpoint.irnn", "--data", "mnist/test-images",
+                       "mnist/test-labels", "--downsample", "14", "--permute-seed", "7"]),
 ]
 
 
