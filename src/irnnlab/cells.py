@@ -26,15 +26,19 @@ writes into 2 reused slots of ``s`` and ``c`` and 1 of ``z`` and ``tc``:
 
     s   (T+1, H+D+1, B)  s[t] is the step-t operand [h_{t-1}; x_t; 1],
                          so s[t+1, :H] holds h_t
-    z   (T, G*H, B)      RNN pre-activations; LSTM gate activations i|f|o|g
+    z   (T, 4*H, B)      LSTM gate activations i|f|o|g
     c   (T+1, H, B)      LSTM cell states, c[0] = 0; tc (T, H, B) is tanh(c_t)
+
+An RNN tape is ``s`` alone: each step's GEMM is written straight into the
+rows of h_t and activated there, and g'(z) is read off h = g(z): [h > 0]
+for relu (so g'(0) = 0), 1 - h**2 for tanh and 1 for linear.
 
 The backward kernels walk the tape in reverse. Each step takes the
 gradients of all blocks as one GEMM of the (G*H, B) pre-activation delta
 against the step's operand [h_{t-1}; x_t; 1], added into a stacked
 (G*H, H+D+1) sum in reverse time order; it is returned as per-block views
 named like ``blocks()``. Gradients are summed over lanes (the 1/B of a mean
-loss arrives through the incoming delta); the rectifier uses g'(0) = 0.
+loss arrives through the incoming delta).
 """
 
 from __future__ import annotations
@@ -47,7 +51,13 @@ import numpy as np
 
 from .ndcore import DivergenceError, ShapeError
 
-ACTIVATIONS = ("relu", "tanh", "linear")
+# activation: (g applied in place to z, g' as a function of the output h = g(z))
+_ACTIVATION = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: h > 0.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda h: 1.0 - h * h),
+    "linear": (lambda z: z, lambda h: 1.0),
+}
+ACTIVATIONS = tuple(_ACTIVATION)
 
 # Any hidden or cell state beyond this magnitude aborts the run as diverged.
 OVERFLOW_LIMIT = 1e100
@@ -121,11 +131,11 @@ class LstmParams(_Cell):
 
 @dataclass
 class CellTape:
-    """Arrays of one forward pass, laid out as in the module docstring."""
+    """Arrays of one forward pass, laid out as in the module docstring; an RNN's is ``s`` alone."""
 
     steps: int
     s: np.ndarray
-    z: np.ndarray
+    z: np.ndarray | None = None  # LSTM only, like c and tc
     c: np.ndarray | None = None
     tc: np.ndarray | None = None
 
@@ -189,7 +199,7 @@ def _arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
-    """Validate inputs and allocate the tape (or scratch) arrays; returns (arrays, s slots, z slots).
+    """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``); returns (arrays, s slots, z slots).
 
     A tape gets the input rows of all steps in one copy; scratch slots get them step by step.
     """
@@ -198,9 +208,9 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     t_steps, b, _ = inputs.shape
     h = p.hidden
     ns, nz = (t_steps + 1, t_steps) if keep else (2, 1)
-    shapes = [(ns, h + p.input_dim + 1, b), (nz, len(p.gates) * h, b)]
+    shapes = [(ns, h + p.input_dim + 1, b)]
     if isinstance(p, LstmParams):
-        shapes += [(ns, h, b), (nz, h, b)]
+        shapes += [(nz, 4 * h, b), (ns, h, b), (nz, h, b)]
     arrays = _arrays(*shapes)
     arrays[0][0, :h] = 0.0
     arrays[0][:, h + p.input_dim] = 1.0
@@ -209,32 +219,24 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     return arrays, ns, nz
 
 
-_ACTIVATE = {
-    "relu": lambda z, out: np.maximum(z, 0.0, out=out),
-    "tanh": lambda z, out: np.tanh(z, out=out),
-    "linear": lambda z, out: np.copyto(out, z),
-}
-
-
 def rnn_forward(p: RnnParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
     """Run the RNN over (T, B, D) inputs; returns (h_T as (B, H), tape).
 
     With ``keep`` false the tape holds only the scratch slots of the last step.
     """
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
-    (s, z), ns, nz = _start(p, inputs, keep)
-    a, activate = _stacked(p), _ACTIVATE[p.activation]
+    (s,), ns, _ = _start(p, inputs, keep)
+    a, activate = _stacked(p), _ACTIVATION[p.activation][0]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
             if not keep:
                 s[t % ns, h : h + d] = inputs[t].T
-            ht = s[(t + 1) % ns, :h]
-            activate(np.matmul(a, s[t % ns], out=z[t % nz]), ht)
+            ht = activate(np.matmul(a, s[t % ns], out=s[(t + 1) % ns, :h]))
             if not keep:
                 _check_finite([ht[None]], t)
     if keep:
         _check_finite([s[1:, :h]])
-    return s[t_steps % ns, :h].T, CellTape(t_steps, s, z)
+    return s[t_steps % ns, :h].T, CellTape(t_steps, s)
 
 
 def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
@@ -275,7 +277,7 @@ def _reverse_start(p, tape: CellTape, *deltas: np.ndarray):
     for delta in deltas:
         if delta.shape != (b, h):
             raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
-    if tape.z.shape[0] != tape.steps:
+    if tape.s.shape[0] != tape.steps + 1:
         raise ShapeError("tape holds scratch slots only; run the forward kernel with keep=True")
     a = _stacked(p)
     wt = np.ascontiguousarray(a[:, :h].T)
@@ -284,16 +286,10 @@ def _reverse_start(p, tape: CellTape, *deltas: np.ndarray):
 
 def rnn_backward(p: RnnParams, tape: CellTape, dh: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Reverse the taped pass from the (B, H) delta at h_T; returns (dh_0 as (B, H), gradients)."""
-    h = p.hidden
+    h, derivative = p.hidden, _ACTIVATION[p.activation][1]
     wt, grad, step, dz, (dh,) = _reverse_start(p, tape, dh)
     for t in reversed(range(tape.steps)):
-        if p.activation == "relu":
-            np.multiply(dh, tape.z[t] > 0.0, out=dz)
-        elif p.activation == "tanh":
-            ht = tape.s[t + 1, :h]
-            np.multiply(dh, 1.0 - ht * ht, out=dz)
-        else:
-            dz[...] = dh
+        np.multiply(dh, derivative(tape.s[t + 1, :h]), out=dz)
         dh = wt @ dz
         grad += np.matmul(dz, tape.s[t].T, out=step)
     return dh.T, _split(p, grad)

@@ -8,9 +8,10 @@ and reports the worst coordinate per block.
 Relative error uses the denominator max(|analytic|, |numeric|, 1e-8). Two
 guards keep the comparison meaningful:
 
-- Kink guard: for rectifier cells a trial is redrawn whenever some
-  pre-activation magnitude falls below 10 * epsilon, since a central
-  difference straddling the kink measures the wrong one-sided slope.
+- Kink guard: a rectifier trial is redrawn whenever some pre-activation
+  |W h_{t-1} + V x_t + b|, recomputed by a recurrence of the guard's own, is
+  below 10 * epsilon: a central difference straddling the kink measures the
+  wrong one-sided slope.
 - Resolution guard: central differences resolve gradients only to roughly
   u * |loss| / epsilon + epsilon**2 * |f'''| absolute (~1e-10 here), so a
   coordinate whose absolute disagreement is below 1e-9 is certified outright;
@@ -117,10 +118,14 @@ def compare_gradients(
     return out
 
 
-def _min_preactivation(spec: ModelSpec, tape) -> float:
+def _min_preactivation(spec: ModelSpec, params, inputs: np.ndarray) -> float:
     if spec.cell != "rnn" or spec.activation != "relu":
         return np.inf
-    return float(np.min(np.abs(tape.cell.z)))
+    h, smallest = np.zeros((inputs.shape[1], spec.hidden)), np.inf
+    for x in inputs:
+        z = h @ params.W.T + x @ params.V.T + params.b
+        smallest, h = min(smallest, float(np.min(np.abs(z)))), np.maximum(z, 0.0)
+    return smallest
 
 
 # Draw scale for random instances: keeps a 10-step linear unroll from
@@ -164,13 +169,12 @@ def check_model(
     done = 0
     while done < trials:
         params, head, batch = _random_instance(spec, rng, t_steps, batch_size)
-        _, _, tape = forward(spec, params, head, batch)
-        if _min_preactivation(spec, tape) < KINK_GUARD_FACTOR * epsilon:
+        if _min_preactivation(spec, params, batch.inputs) < KINK_GUARD_FACTOR * epsilon:
             redrawn += 1
             if redrawn > 50 * trials:
                 raise RuntimeError("kink guard kept rejecting trials; widen the model scales")
             continue
-        analytic = backward(spec, params, head, tape).blocks
+        analytic = backward(spec, params, head, forward(spec, params, head, batch).tape).blocks
         blocks = param_blocks(params, head)
         numeric = numeric_gradient(lambda _: forward(spec, params, head, batch).loss, blocks, epsilon)
         for name, check in compare_gradients(analytic, numeric).items():

@@ -5,8 +5,8 @@ initial state, applies the readout to the final hidden state only, and
 scores it with mean squared error (regression) or cross-entropy (softmax
 classification), averaged over the batch. ``forward`` keeps the kernel's
 tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
-[h; x; 1], the (G*H, B) pre-activations or LSTM gate activations stacked
-i|f|o|g, and the LSTM cell states) in a ``Tape`` together with h_T and the
+[h; x; 1], and for the LSTM also the (4H, B) gate activations stacked
+i|f|o|g and the cell states) in a ``Tape`` together with h_T and the
 loss gradient at the head outputs; ``score``, which ``harness.evaluate``
 runs on every chunk, runs the same kernel with reused scratch slots
 instead. ``backward`` carries that gradient through the head to h_T and runs

@@ -119,14 +119,18 @@ class TestRnnStep:
         with pytest.raises(ShapeError):
             rnn_forward(p, np.zeros((1, 1)))
 
-    def test_scratch_run_matches_taped_run(self):
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_scratch_run_matches_taped_run(self, activation):
+        # an RNN tape is its state block alone: T+1 slots taped, 2 reused ones in scratch
         rng = make_rng(9)
-        p = RnnParams(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4), activation="tanh")
+        p = RnnParams(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4),
+                      activation=activation)
         xs = rng.normal(size=(7, 3, 2))
         h_tape, tape = rnn_forward(p, xs, keep=True)
         h_scratch, scratch = rnn_forward(p, xs, keep=False)
         assert np.array_equal(h_tape, h_scratch)
-        assert tape.z.shape[0] == 7 and scratch.z.shape[0] == 1
+        assert tape.s.shape[0] == 8 and scratch.s.shape[0] == 2
+        assert all(a is None for a in (tape.z, tape.c, tape.tc, scratch.z, scratch.c, scratch.tc))
 
 
 class TestRnnBackstep:
@@ -283,14 +287,14 @@ class TestLstmBackstep:
 
 
 class TestFiniteCheck:
-    # h_t = x_t exactly, so step 3 of the input sets the state the check sees
+    # h_t = g(x_t) exactly, so step 3 of the input sets the state the check sees
     LIMIT = 1e100
 
     @staticmethod
-    def run(value, keep):
+    def run(value, keep, activation="linear"):
         inputs = np.zeros((6, 1, 1))
         inputs[3] = value
-        return rnn_forward(relu_cell(1, W=[[0.0]], V=[[1.0]], activation="linear"), inputs, keep=keep)
+        return rnn_forward(relu_cell(1, W=[[0.0]], V=[[1.0]], activation=activation), inputs, keep=keep)
 
     @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
     @pytest.mark.parametrize("value", [LIMIT, -LIMIT])
@@ -306,6 +310,20 @@ class TestFiniteCheck:
     def test_beyond_limit_names_step(self, keep, value):
         with pytest.raises(DivergenceError, match="at step 3$"):
             self.run(value, keep)
+
+    # the rectifier runs in place on the GEMM output: it clamps a negative state to 0
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    @pytest.mark.parametrize("value", [LIMIT, -np.inf, -1e300], ids=["limit", "-inf", "-1e300"])
+    def test_relu_limit_and_negatives_pass(self, keep, value):
+        _, tape = self.run(value, keep, "relu")
+        if keep:
+            assert tape.s[4, 0, 0] == max(value, 0.0)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    @pytest.mark.parametrize("value", [np.nextafter(LIMIT, np.inf), np.inf, np.nan], ids=["above", "inf", "nan"])
+    def test_relu_beyond_limit_names_step(self, keep, value):
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            self.run(value, keep, "relu")
 
 
 class TestSigmoid:

@@ -574,16 +574,22 @@ class TestTrain:
                            env=blas_threads_env(threads), check=True, timeout=300)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
-    def test_one_tape_alive_at_a_time(self):
+    @pytest.mark.parametrize("cell", ["lstm", "rnn"])
+    def test_one_tape_alive_at_a_time(self, cell):
         # each update's tape is freed before the next update's forward pass allocates its
-        # own, so a run peaks near one tape (two would be alive at once otherwise)
-        spec = ModelSpec(cell="lstm", hidden=50, input_dim=2, head="regression")
+        # own, so a run peaks near one tape (two would be alive at once otherwise); an
+        # RNN's tape is its (T+1, H+D+1, B) state block alone
+        spec = ModelSpec(cell=cell, hidden=50, input_dim=2, head="regression",
+                         init=InitScheme("identity" if cell == "rnn" else "baseline"))
         rng = make_rng(3)
         train_ds, test_ds = gen_adding(100, 64, rng), gen_adding(100, 32, rng)
         cfg = TrainConfig(lr=0.01, clip=10.0, max_steps=4, eval_every=4, batch_size=16, seed=1)
-        cell = forward(spec, *init_params(spec, make_rng(1)), train_ds.batch(np.arange(16))).tape.cell
-        tape_bytes = sum(a.nbytes for a in (cell.s, cell.z, cell.c, cell.tc))
-        del cell
+        if cell == "lstm":
+            taped = forward(spec, *init_params(spec, make_rng(1)), train_ds.batch(np.arange(16))).tape.cell
+            tape_bytes = sum(a.nbytes for a in (taped.s, taped.z, taped.c, taped.tc))
+            del taped
+        else:
+            tape_bytes = (100 + 1) * (50 + 2 + 1) * 16 * 8
         result, peak = peak_traced_bytes(lambda: train(spec, cfg, train_ds, test_ds))
         assert not result.diverged and len(result.history) == 1
         assert peak < 1.5 * tape_bytes
