@@ -14,12 +14,12 @@ and the LSTM cell is the standard forget-gate variant without peepholes:
     h = o * tanh(c)
 
 Both start from a zero state. The kernels are feature-major: a state is
-(H, B), one column per lane. A cell's weights are stacked once per call
-into A = [W | V | b] of shape (G*H, H+D+1), G = 1 for the RNN and G = 4
-for the LSTM with gate rows in i|f|o|g order, so a step is one GEMM
-A @ [h_{t-1}; x_t; 1] whose gates are contiguous (H, B) row blocks. The
-LSTM forward pass negates the i|f|o rows of A, so its GEMM yields -z
-exactly for the three logistic gates.
+(H, B), one column per lane. A cell's weights are one operand A = [W | V | b]
+of shape (G*H, H+D+1), G = 1 for the RNN and G = 4 for the LSTM with gate
+rows in i|f|o|g order, and its named blocks are views of A. A step is one
+GEMM A @ [h_{t-1}; x_t; 1], with A read in place, whose gates are contiguous
+(H, B) row blocks. The LSTM negates the i|f|o rows of a per-call copy of A,
+so its GEMM yields -z exactly for the three logistic gates.
 
 Tape layout (``CellTape``) for T steps; without a tape the same loop
 writes into 2 reused slots of ``s`` and ``c`` and 1 of ``z`` and ``tc``:
@@ -35,10 +35,10 @@ for relu (so g'(0) = 0), 1 - h**2 for tanh and 1 for linear.
 
 The backward kernels walk the tape in reverse. Each step takes the
 gradients of all blocks as one GEMM of the (G*H, B) pre-activation delta
-against the step's operand [h_{t-1}; x_t; 1], added into a stacked
-(G*H, H+D+1) sum in reverse time order; it is returned as per-block views
-named like ``blocks()``. Gradients are summed over lanes (the 1/B of a mean
-loss arrives through the incoming delta).
+against the step's operand [h_{t-1}; x_t; 1], added in reverse time order
+into the operand of the gradient cell ``out``, whose named blocks are views
+of it. Gradients are summed over lanes (the 1/B of a mean loss arrives
+through the incoming delta).
 """
 
 from __future__ import annotations
@@ -63,10 +63,18 @@ ACTIVATIONS = tuple(_ACTIVATION)
 OVERFLOW_LIMIT = 1e100
 
 
+@dataclass
 class _Cell:
-    """Shape checks and named blocks shared by the cells: one (W, V, b) triple per gate."""
+    """A cell's weights as one operand A = [W | V | b] of shape (G*H, H+D+1), gate rows in
+    ``gates`` order; each named block (``W``, ``Vf``, ...) is a view of it."""
 
+    a: np.ndarray
     gates: ClassVar[tuple[str, ...]]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.shapes(1, 1):
+            setattr(cls, name, property(lambda self, name=name: self.blocks()[name]))
 
     @classmethod
     def shapes(cls, h: int, d: int) -> dict[str, tuple[int, ...]]:
@@ -74,31 +82,48 @@ class _Cell:
         kinds = (("W", (h, h)), ("V", (h, d)), ("b", (h,)))
         return {f"{kind}{gate}": shape for gate in cls.gates for kind, shape in kinds}
 
+    @classmethod
+    def operand_shape(cls, h: int, d: int) -> tuple[int, int]:
+        return len(cls.gates) * h, h + d + 1
+
+    @classmethod
+    def from_blocks(cls, **kwargs):
+        """A cell on a new operand holding copies of the named blocks; ``activation`` passes through."""
+        h, d = np.shape(kwargs[f"W{cls.gates[0]}"])[0], np.shape(kwargs[f"V{cls.gates[0]}"])[1]
+        blocks = {name: np.asarray(kwargs.pop(name)) for name in cls.shapes(h, d)}
+        cell = cls(np.empty(cls.operand_shape(h, d)), **kwargs)
+        for name, view in cell.blocks().items():
+            if blocks[name].shape != view.shape:
+                raise ShapeError(f"block {name} has shape {blocks[name].shape}; expected {view.shape}")
+            view[...] = blocks[name]
+        return cell
+
     def __post_init__(self):
-        expected = self.shapes(self.hidden, self.input_dim)
-        got = {name: getattr(self, name).shape for name in expected}
-        if got != expected:
-            raise ShapeError(f"block shapes {got}; expected {expected}")
+        shape, g = np.shape(self.a), len(self.gates)
+        if len(shape) != 2 or shape[0] % g or not 0 < shape[0] // g < shape[1] - 1:
+            raise ShapeError(f"operand shape {shape} is not (G*H, H+D+1) with G = {g} and H, D >= 1")
 
     @property
     def hidden(self) -> int:
-        return getattr(self, f"W{self.gates[0]}").shape[0]
+        return self.a.shape[0] // len(self.gates)
 
     @property
     def input_dim(self) -> int:
-        return getattr(self, f"V{self.gates[0]}").shape[1]
+        return self.a.shape[1] - self.hidden - 1
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.shapes(self.hidden, self.input_dim)}
+        h, d = self.hidden, self.input_dim
+        out = {}
+        for k, gate in enumerate(self.gates):
+            rows = self.a[k * h : (k + 1) * h]
+            out[f"W{gate}"], out[f"V{gate}"], out[f"b{gate}"] = rows[:, :h], rows[:, h : h + d], rows[:, h + d]
+        return out
 
 
 @dataclass
 class RnnParams(_Cell):
     """Weights of one RNN cell: recurrent W (HxH), input V (HxD), bias b (H)."""
 
-    W: np.ndarray
-    V: np.ndarray
-    b: np.ndarray
     activation: str = "relu"
 
     gates: ClassVar[tuple[str, ...]] = ("",)
@@ -112,19 +137,6 @@ class RnnParams(_Cell):
 @dataclass
 class LstmParams(_Cell):
     """Weights of one LSTM cell, one (W, V, b) triple per gate i/f/o/g."""
-
-    Wi: np.ndarray
-    Vi: np.ndarray
-    bi: np.ndarray
-    Wf: np.ndarray
-    Vf: np.ndarray
-    bf: np.ndarray
-    Wo: np.ndarray
-    Vo: np.ndarray
-    bo: np.ndarray
-    Wg: np.ndarray
-    Vg: np.ndarray
-    bg: np.ndarray
 
     gates: ClassVar[tuple[str, ...]] = ("i", "f", "o", "g")
 
@@ -151,22 +163,6 @@ def sigmoid_of_negated(neg_z: np.ndarray, out: np.ndarray | None = None) -> np.n
         out = np.exp(neg_z, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def _stacked(p) -> np.ndarray:
-    """The (G*H, H+D+1) operand [W | V | b], gate rows in ``p.gates`` order."""
-    blocks = p.blocks()
-    return np.vstack([np.hstack((blocks[f"W{g}"], blocks[f"V{g}"], blocks[f"b{g}"][:, None])) for g in p.gates])
-
-
-def _split(p, stacked: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-block views of a stacked (G*H, H+D+1) gradient, named like ``p.blocks()``."""
-    h, d = p.hidden, p.input_dim
-    out = {}
-    for k, gate in enumerate(p.gates):
-        rows = stacked[k * h : (k + 1) * h]
-        out[f"W{gate}"], out[f"V{gate}"], out[f"b{gate}"] = rows[:, :h], rows[:, h : h + d], rows[:, h + d]
-    return out
 
 
 def _bounded(a: np.ndarray) -> bool:
@@ -226,7 +222,7 @@ def rnn_forward(p: RnnParams, inputs: np.ndarray, keep: bool = True) -> tuple[np
     """
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s,), ns, _ = _start(p, inputs, keep)
-    a, activate = _stacked(p), _ACTIVATION[p.activation][0]
+    a, activate = p.a, _ACTIVATION[p.activation][0]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
             if not keep:
@@ -244,8 +240,7 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s, gates, c, tc), ns, nz = _start(p, inputs, keep)
     c[0] = 0.0
-    a = _stacked(p)
-    np.negative(a[: 3 * h], out=a[: 3 * h])  # the GEMM then yields -z for i|f|o
+    a = np.concatenate((-p.a[: 3 * h], p.a[3 * h :]))  # a copy (threads share p.a) whose GEMM yields -z for i|f|o
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
             if not keep:
@@ -266,45 +261,45 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
     return s[t_steps % ns, :h].T, CellTape(t_steps, s, gates, c, tc)
 
 
-def _reverse_start(p, tape: CellTape, *deltas: np.ndarray):
+def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
     """Validate the (B, H) deltas at the final state and allocate the reverse pass.
 
-    Returns the contiguous (H, G*H) transposed recurrent weights, the zeroed
-    stacked gradient with a same-shaped step buffer, a (G*H, B) buffer for
-    the pre-activation delta, and the deltas feature-major.
+    Returns the contiguous (H, G*H) transposed recurrent weights, the gradient
+    operand ``out.a`` to add into with a same-shaped step buffer, a (G*H, B)
+    buffer for the pre-activation delta, and the deltas feature-major.
     """
-    h, b = p.hidden, tape.s.shape[2]
+    h, b, a = p.hidden, tape.s.shape[2], p.a
     for delta in deltas:
         if delta.shape != (b, h):
             raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
     if tape.s.shape[0] != tape.steps + 1:
         raise ShapeError("tape holds scratch slots only; run the forward kernel with keep=True")
-    a = _stacked(p)
     wt = np.ascontiguousarray(a[:, :h].T)
-    return wt, np.zeros_like(a), np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
+    return wt, out.a, np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
 
 
-def rnn_backward(p: RnnParams, tape: CellTape, dh: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Reverse the taped pass from the (B, H) delta at h_T; returns (dh_0 as (B, H), gradients)."""
+def rnn_backward(p: RnnParams, tape: CellTape, dh: np.ndarray, out: RnnParams) -> np.ndarray:
+    """Reverse the taped pass from the (B, H) delta at h_T, adding the gradients into the cell ``out``;
+    returns dh_0 as (B, H)."""
     h, derivative = p.hidden, _ACTIVATION[p.activation][1]
-    wt, grad, step, dz, (dh,) = _reverse_start(p, tape, dh)
+    wt, grad, step, dz, (dh,) = _reverse_start(p, tape, out, dh)
     for t in reversed(range(tape.steps)):
         np.multiply(dh, derivative(tape.s[t + 1, :h]), out=dz)
         dh = wt @ dz
         grad += np.matmul(dz, tape.s[t].T, out=step)
-    return dh.T, _split(p, grad)
+    return dh.T
 
 
 def lstm_backward(
-    p: LstmParams, tape: CellTape, dh: np.ndarray, dc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Reverse the taped pass from (B, H) deltas at h_T and c_T.
+    p: LstmParams, tape: CellTape, dh: np.ndarray, dc: np.ndarray, out: LstmParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse the taped pass from (B, H) deltas at h_T and c_T, adding the gradients into the cell ``out``.
 
-    Returns (dh_0, dc_0, gradients). Gate derivatives use sigma' = s(1-s)
-    and tanh' = 1 - t**2 on the taped activations.
+    Returns (dh_0, dc_0). Gate derivatives use sigma' = s(1-s) and
+    tanh' = 1 - t**2 on the taped activations.
     """
     h = p.hidden
-    wt, grad, step, dz, (dh, dc) = _reverse_start(p, tape, dh, dc)
+    wt, grad, step, dz, (dh, dc) = _reverse_start(p, tape, out, dh, dc)
     dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
     for t in reversed(range(tape.steps)):
         gt, tct = tape.z[t], tape.tc[t]
@@ -318,4 +313,4 @@ def lstm_backward(
         dc = dc_total * f
         dh = wt @ dz
         grad += np.matmul(dz, tape.s[t].T, out=step)
-    return dh.T, dc.T, _split(p, grad)
+    return dh.T, dc.T

@@ -383,6 +383,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _check_cell_flags(args)
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     activation = args.activation or "relu"  # an lstm is checked against the relu bound
     bound = GRADCHECK_BOUNDS[activation]
     ok = True

@@ -142,7 +142,7 @@ def _random_instance(spec: ModelSpec, rng, t_steps: int, batch_size: int):
     for name, p in blocks.items():
         p[...] = rng.normal(0.0, INSTANCE_SCALE, size=p.shape)
     if spec.cell == "lstm":
-        params.bf += spec.forget_bias
+        blocks["bf"] += spec.forget_bias
     inputs = rng.normal(0.0, 1.0, size=(t_steps, batch_size, spec.input_dim))
     if spec.head == "regression":
         targets = rng.normal(0.0, 1.0, size=batch_size)

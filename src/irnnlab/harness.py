@@ -60,7 +60,7 @@ from .network import (
     backward,
     forward,
     init_params,
-    param_blocks,
+    param_vector,
     score,
 )
 from .optim import TrainConfig, clip_gradients, sgd_step
@@ -225,14 +225,14 @@ def evaluate(
     return loss, metric
 
 
-def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: HeadParams, blocks, batch):
-    """One clipped SGD update of ``blocks`` on ``batch``; returns the batch loss and the
-    gradient norm before clipping. The tape and the gradients die on return, so the
+def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: HeadParams, theta, batch):
+    """One clipped SGD update of the parameter vector ``theta`` on ``batch``; returns the batch
+    loss and the gradient norm before clipping. The tape and the gradients die on return, so the
     next update's forward pass never allocates while this one's tape is alive."""
     loss, _, tape = forward(spec, params, head, batch)
-    grads = backward(spec, params, head, tape).blocks
-    _, norm = clip_gradients(grads, cfg.clip)
-    sgd_step(blocks, grads, cfg.lr)
+    grads = backward(spec, params, head, tape)
+    norm = clip_gradients(grads.vector, grads.blocks.values(), cfg.clip)
+    sgd_step(theta, grads.vector, cfg.lr)
     return loss, norm
 
 
@@ -268,7 +268,7 @@ def train(
     """
     rng = make_rng(cfg.seed)
     params, head = init_params(spec, rng)
-    blocks = param_blocks(params, head)
+    theta = param_vector(params, head)
     result = TrainResult(params=params, head=head, history=[])
     n = len(train_ds)
     order = rng.permutation(n)
@@ -281,7 +281,7 @@ def train(
         idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
         try:
-            loss, norm = _sgd_update(spec, cfg, params, head, blocks, train_ds.batch(idx))
+            loss, norm = _sgd_update(spec, cfg, params, head, theta, train_ds.batch(idx))
             if step % cfg.eval_every != 0 and step != cfg.max_steps:
                 continue
             test_loss, metric = evaluate(spec, params, head, test_ds)

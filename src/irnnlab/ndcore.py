@@ -8,8 +8,8 @@ Every binary file (ADDP datasets, IDX images and labels, IRNN checkpoints)
 is a header and one payload array. Its loader parses the header and checks
 the file size against it with ``check_size`` before allocating anything.
 IDX files and checkpoints are then read by ``read_payload`` straight into one
-array, so each is held once; ADDP files are streamed in blocks of examples
-(``tasks.load_adding``), so their float64 payload is never held whole.
+array (``network`` copies a checkpoint's once into its parameter vector); ADDP
+files are streamed in blocks of examples (``tasks.load_adding``), never whole.
 """
 
 from __future__ import annotations

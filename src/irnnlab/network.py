@@ -10,8 +10,13 @@ i|f|o|g and the cell states) in a ``Tape`` together with h_T and the
 loss gradient at the head outputs; ``score``, which ``harness.evaluate``
 runs on every chunk, runs the same kernel with reused scratch slots
 instead. ``backward`` carries that gradient through the head to h_T and runs
-the cell's backward kernel over the tape, which returns exact gradients for
+the cell's backward kernel over the tape, which writes exact gradients for
 every parameter block.
+
+In memory a model is one float64 vector, laid out by ``_model``: the cell's
+(G*H, H+D+1) operand [W | V | b] (``cells``), then U (K, H), then c (K,).
+Every named block is a view of it; ``backward`` returns the gradient as one
+vector of the same layout. A checkpoint stores each block whole instead.
 
 Checkpoint format (little-endian throughout):
 
@@ -32,8 +37,9 @@ Checkpoint format (little-endian throughout):
                 bo, Wg, Vg, bg, U, c)
 
 ``load_checkpoint`` validates the header and the spec (so a field that does not
-apply, such as an lstm's activation, must hold its one allowed value), then reads the blocks
-through ``ndcore.read_payload`` as one float64 array that they are views of.
+apply, such as an lstm's activation, must hold its one allowed value), then reads the payload
+through ``ndcore.read_payload`` as one float64 array and copies its blocks into a new
+parameter vector: the file holds each block whole, the vector interleaves W, V and b by row.
 """
 
 from __future__ import annotations
@@ -115,9 +121,6 @@ class HeadParams:
     U: np.ndarray
     c: np.ndarray
 
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {"U": self.U, "c": self.c}
-
 
 @dataclass
 class SequenceBatch:
@@ -155,8 +158,9 @@ class Tape:
 
 @dataclass
 class Gradients:
-    """Per-block gradients plus the hidden-state deltas at both ends of the unroll."""
+    """The gradient vector and its named block views, plus the hidden-state deltas at both ends."""
 
+    vector: np.ndarray
     blocks: dict[str, np.ndarray]
     dh0: np.ndarray
     dh_last: np.ndarray
@@ -168,8 +172,28 @@ class ForwardResult(NamedTuple):
     tape: Tape
 
 
+def _model(spec: ModelSpec) -> tuple[np.ndarray, CellParams, HeadParams]:
+    """A new zero vector laid out as in the module docstring, and the cell and head as views of it."""
+    h, k = spec.hidden, spec.head_dim
+    cell = RnnParams if spec.cell == "rnn" else LstmParams
+    shape = cell.operand_shape(h, spec.input_dim)
+    n = math.prod(shape)
+    theta = np.zeros(n + k * h + k)
+    a = theta[:n].reshape(shape)
+    params = RnnParams(a, spec.activation) if spec.cell == "rnn" else LstmParams(a)
+    return theta, params, HeadParams(U=theta[n : n + k * h].reshape(k, h), c=theta[n + k * h :])
+
+
+def param_vector(params: CellParams, head: HeadParams) -> np.ndarray:
+    """The one vector whose views the blocks of ``init_params`` or ``load_checkpoint`` are."""
+    theta = params.a.base
+    if theta is None or head.U.base is not theta or head.c.base is not theta:
+        raise ValueError("the parameter blocks are not views of one vector")
+    return theta
+
+
 def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
-    """Build freshly initialized cell and head parameters.
+    """Build freshly initialized cell and head parameters, views of one new vector.
 
     Draw order is fixed: recurrent matrix (when random), input matrix, bias,
     then head U and c. The RNN recurrent matrix is ``np.eye(H)`` for identity,
@@ -180,37 +204,30 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
     weights are Gaussian(input_init_std); gate biases are zero except the
     forget bias, which is set to ``forget_bias``.
     """
-    h, d, std = spec.hidden, spec.input_dim, spec.input_init_std
-    if spec.cell == "rnn":
-        kind, value = spec.init.kind, spec.init.value
-        if kind == "baseline" and spec.activation == "tanh":
-            w = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h))
-            v = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
-            b = np.zeros(h, dtype=np.float64)
-        else:
-            if kind in ("baseline", "gauss"):
-                w = rng.normal(0.0, value if kind == "gauss" else std, size=(h, h))
-            else:
-                w = np.eye(h) * value if kind == "iscale" else np.eye(h)
-            v = rng.normal(0.0, std, size=(h, d))
-            b = rng.normal(0.0, std, size=h)
-        params: CellParams = RnnParams(W=w, V=v, b=b, activation=spec.activation)
-    else:
-        blocks = {name: rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(h)
-                  for name, shape in LstmParams.shapes(h, d).items()}
-        blocks["bf"] = np.full(h, float(spec.forget_bias), dtype=np.float64)
-        params = LstmParams(**blocks)
-    k = spec.head_dim
-    u = rng.normal(0.0, std, size=(k, h))
-    c = rng.normal(0.0, std, size=k) if std > 0 else np.zeros(k, dtype=np.float64)
-    return params, HeadParams(U=u, c=c)
+    h, kind, value = spec.hidden, spec.init.kind, spec.init.value
+    _, params, head = _model(spec)
+    blocks = param_blocks(params, head)
+    scales = dict.fromkeys(blocks, spec.input_init_std)  # N(0, scale**2) in block order; None is 0
+    if spec.cell == "lstm":
+        scales.update(dict.fromkeys(("bi", "bf", "bo", "bg")))
+    elif kind == "baseline" and spec.activation == "tanh":
+        scales.update(W=1.0 / np.sqrt(h), V=1.0 / np.sqrt(spec.input_dim), b=None)
+    elif kind != "baseline":
+        scales["W"] = value if kind == "gauss" else None  # identity and iscale are set below
+    if spec.input_init_std == 0:
+        scales["c"] = None
+    for name, scale in scales.items():
+        blocks[name][...] = 0.0 if scale is None else rng.normal(0.0, scale, size=blocks[name].shape)
+    if kind in ("identity", "iscale"):
+        params.W[...] = np.eye(h) * value if kind == "iscale" else np.eye(h)
+    if spec.cell == "lstm":
+        params.bf[...] = spec.forget_bias
+    return params, head
 
 
 def param_blocks(params: CellParams, head: HeadParams) -> dict[str, np.ndarray]:
     """All trainable blocks in the documented fixed order (cell blocks, then U, c)."""
-    out = dict(params.blocks())
-    out.update(head.blocks())
-    return out
+    return {**params.blocks(), "U": head.U, "c": head.c}
 
 
 def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch, keep: bool):
@@ -277,13 +294,14 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
     dlogits = tape.dlogits
     dh = dlogits @ head.U
     dh_last = dh.copy()
+    g, grad, grad_head = _model(spec)
     if spec.cell == "rnn":
-        dh, blocks = rnn_backward(params, tape.cell, dh)
+        dh = rnn_backward(params, tape.cell, dh, grad)
     else:
-        dh, _, blocks = lstm_backward(params, tape.cell, dh, np.zeros_like(dh))
-    blocks["U"] = dlogits.T @ tape.h_last
-    blocks["c"] = dlogits.sum(axis=0)
-    return Gradients(blocks=blocks, dh0=dh, dh_last=dh_last)
+        dh, _ = lstm_backward(params, tape.cell, dh, np.zeros_like(dh), grad)
+    np.matmul(dlogits.T, tape.h_last, out=grad_head.U)
+    np.sum(dlogits, axis=0, out=grad_head.c)
+    return Gradients(vector=g, blocks=param_blocks(grad, grad_head), dh0=dh, dh_last=dh_last)
 
 
 # The header after the magic, in file order: (field, struct code, names by code).
@@ -303,13 +321,6 @@ _HEADER = (
 _SPEC_STRUCT = struct.Struct("<8s" + "".join(code for _, code, _ in _HEADER))
 
 
-def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Every block's shape, in checkpoint order: the cell's (W, V, b) per gate, then U, c."""
-    h, k = spec.hidden, spec.head_dim
-    cell = RnnParams if spec.cell == "rnn" else LstmParams
-    return {**cell.shapes(h, spec.input_dim), "U": (k, h), "c": (k,)}
-
-
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:
     """Write spec and parameters in the flat binary format documented above."""
     fields = {**vars(spec), "init kind": spec.init.kind, "init value": spec.init.value}
@@ -317,11 +328,10 @@ def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams)
         CHECKPOINT_MAGIC,
         *(fields[field] if names is None else names.index(fields[field]) for field, _, names in _HEADER),
     )
-    blocks = param_blocks(params, head)
     with open(path, "wb") as fh:
         fh.write(header)
-        for name in _block_shapes(spec):
-            fh.write(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes())
+        for block in param_blocks(params, head).values():
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
@@ -340,11 +350,11 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
             fields[field] = value if names is None else names[value]
         kind, value = fields.pop("init kind"), fields.pop("init value")
         spec = ModelSpec(**fields, init=InitScheme(kind, value))
-        shapes = _block_shapes(spec)
-        sizes = [math.prod(shape) for shape in shapes.values()]
+        h, k = spec.hidden, spec.head_dim
+        cell = RnnParams if spec.cell == "rnn" else LstmParams
+        sizes = [math.prod(shape) for shape in cell.shapes(h, spec.input_dim).values()] + [k * h, k]  # file order
         payload = read_payload(fh, path, _SPEC_STRUCT.size, (sum(sizes),), "<f8")
-    parts = np.split(payload, np.cumsum(sizes)[:-1])
-    blocks = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
-    head = HeadParams(U=blocks.pop("U"), c=blocks.pop("c"))
-    params: CellParams = RnnParams(**blocks, activation=spec.activation) if spec.cell == "rnn" else LstmParams(**blocks)
+    _, params, head = _model(spec)
+    for view, part in zip(param_blocks(params, head).values(), np.split(payload, np.cumsum(sizes)[:-1])):
+        view[...] = part.reshape(view.shape)
     return spec, params, head

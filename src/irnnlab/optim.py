@@ -1,15 +1,15 @@
 """Fixed-learning-rate SGD with global-norm gradient clipping.
 
-Clipping rescales the whole gradient (all parameter blocks jointly) so its
-L2 norm does not exceed the threshold; it never clamps elementwise, so the
-update direction is preserved. No momentum, weight decay, or schedule.
+Both act on a model's whole vector (``network``). Clipping rescales the
+gradient (all parameter blocks jointly) so its L2 norm does not exceed the
+threshold, never clamping elementwise. No momentum, weight decay, or schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -44,32 +44,24 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
-def clip_gradients(
-    grads: Mapping[str, np.ndarray], gc: float
-) -> tuple[Mapping[str, np.ndarray], float]:
-    """Rescale all blocks jointly so their global L2 norm is at most gc.
+def clip_gradients(grads: np.ndarray, blocks: Iterable[np.ndarray], gc: float) -> float:
+    """Rescale the gradient vector in place so its global L2 norm is at most gc; returns the
+    norm before clipping, so it can be logged.
 
-    Mutates the arrays in place and returns (grads, norm_before) so the
-    pre-clip norm can be logged.
+    The norm is summed block by block over ``blocks``, views that tile ``grads``, in their order.
     """
     if not gc > 0:
         raise ValueError(f"clip threshold must be > 0, got {gc}")
-    norm = l2_norm(grads.values())
+    norm = l2_norm(blocks)
     if not np.isfinite(norm):
         raise DivergenceError("non-finite gradient entries")
     if norm > gc * (1.0 + _CLIP_SLACK):
-        factor = gc / norm
-        for g in grads.values():
-            g *= factor
-    return grads, norm
+        grads *= gc / norm
+    return norm
 
 
-def sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray], lr: float) -> None:
-    """In-place update p <- p - lr * g for every block, in block order."""
-    if params.keys() != grads.keys():
-        raise ShapeError(f"parameter blocks {sorted(params)} do not match gradient blocks {sorted(grads)}")
-    for name, p in params.items():
-        g = grads[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"block {name!r}: parameter shape {p.shape} vs gradient shape {g.shape}")
-        p -= lr * g
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """In-place update p <- p - lr * g of the parameter vector."""
+    if params.shape != grads.shape:
+        raise ShapeError(f"parameter shape {params.shape} vs gradient shape {grads.shape}")
+    params -= lr * grads

@@ -72,7 +72,7 @@ def test_criterion_2_bag_of_events_exact():
         bias = rng.integers(0, 8, size=h) / 4096.0
         spec = il.ModelSpec(cell="rnn", hidden=h, input_dim=d, head="regression",
                             activation="relu", init=il.InitScheme("identity"))
-        params = il.RnnParams(W=np.eye(h), V=v, b=bias, activation="relu")
+        params = il.RnnParams.from_blocks(W=np.eye(h), V=v, b=bias, activation="relu")
         head = il.HeadParams(U=np.zeros((1, h)), c=np.zeros(1))
         batch = il.SequenceBatch(inputs=inputs, targets=np.zeros(lanes))
         _, _, tape = forward(spec, params, head, batch)
@@ -93,7 +93,7 @@ def test_criterion_3_delta_constancy():
     h, d, lanes, t_steps = 100, 2, 3, 400
     spec = il.ModelSpec(cell="rnn", hidden=h, input_dim=d, head="regression",
                         activation="linear", init=il.InitScheme("identity"))
-    params = il.RnnParams(W=np.eye(h), V=rng.normal(0, 0.001, (h, d)),
+    params = il.RnnParams.from_blocks(W=np.eye(h), V=rng.normal(0, 0.001, (h, d)),
                           b=rng.normal(0, 0.001, h), activation="linear")
     head = il.HeadParams(U=rng.normal(0, 0.001, (1, h)), c=rng.normal(0, 0.001, 1))
     batch = il.SequenceBatch(inputs=rng.uniform(size=(t_steps, lanes, d)),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from irnnlab.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward
 
 
 def relu_cell(h, d=1, W=None, V=None, b=None, activation="relu"):
-    return RnnParams(
+    return RnnParams.from_blocks(
         W=np.eye(h) if W is None else np.asarray(W, float),
         V=np.zeros((h, d)) if V is None else np.asarray(V, float),
         b=np.zeros(h) if b is None else np.asarray(b, float),
@@ -19,13 +20,25 @@ def relu_cell(h, d=1, W=None, V=None, b=None, activation="relu"):
 
 def zero_lstm(h, d=1, forget_bias=0.0):
     z = lambda *s: np.zeros(s)
-    p = LstmParams(
+    p = LstmParams.from_blocks(
         Wi=z(h, h), Vi=z(h, d), bi=z(h),
         Wf=z(h, h), Vf=z(h, d), bf=np.full(h, float(forget_bias)),
         Wo=z(h, h), Vo=z(h, d), bo=z(h),
         Wg=z(h, h), Vg=z(h, d), bg=z(h),
     )
     return p
+
+
+def rnn_grads(p, tape, dh):
+    """dh_0 and the named gradient blocks from the RNN backward kernel."""
+    out = replace(p, a=np.zeros_like(p.a))
+    return rnn_backward(p, tape, dh, out), out.blocks()
+
+
+def lstm_grads(p, tape, dh, dc):
+    """dh_0, dc_0 and the named gradient blocks from the LSTM backward kernel."""
+    out = replace(p, a=np.zeros_like(p.a))
+    return (*lstm_backward(p, tape, dh, dc, out), out.blocks())
 
 
 def seq(*steps):
@@ -51,14 +64,14 @@ def gate(tape, name, t):
 
 
 def random_lstm(rng, h, d, scale=1.0):
-    return LstmParams(**{k: rng.normal(0, scale, size=v.shape) for k, v in zero_lstm(h, d=d).blocks().items()})
+    return LstmParams.from_blocks(**{k: rng.normal(0, scale, size=v.shape) for k, v in zero_lstm(h, d=d).blocks().items()})
 
 
 class TestBlockShapes:
     @pytest.mark.parametrize("cell", [RnnParams, LstmParams])
     def test_blocks_follow_the_shape_table(self, cell):
         # checkpoints write the blocks in ``shapes`` order
-        params = cell(**{name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()})
+        params = cell.from_blocks(**{name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()})
         assert [(name, a.shape) for name, a in params.blocks().items()] == list(cell.shapes(3, 2).items())
 
     @pytest.mark.parametrize("cell,name", [(RnnParams, "W"), (RnnParams, "V"), (RnnParams, "b"),
@@ -67,7 +80,7 @@ class TestBlockShapes:
         blocks = {name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()}
         blocks[name] = np.zeros(blocks[name].shape + (1,))
         with pytest.raises(ShapeError):
-            cell(**blocks)
+            cell.from_blocks(**blocks)
 
 
 class TestRnnStep:
@@ -105,7 +118,7 @@ class TestRnnStep:
 
     def test_batched_matches_per_lane(self):
         rng = make_rng(1)
-        p = RnnParams(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 3)), b=rng.normal(size=4), activation="tanh")
+        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 3)), b=rng.normal(size=4), activation="tanh")
         xs = rng.normal(size=(3, 5, 3))
         h_batch, _ = rnn_forward(p, xs)
         for lane in range(5):
@@ -123,7 +136,7 @@ class TestRnnStep:
     def test_scratch_run_matches_taped_run(self, activation):
         # an RNN tape is its state block alone: T+1 slots taped, 2 reused ones in scratch
         rng = make_rng(9)
-        p = RnnParams(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4),
+        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4),
                       activation=activation)
         xs = rng.normal(size=(7, 3, 2))
         h_tape, tape = rnn_forward(p, xs, keep=True)
@@ -138,19 +151,19 @@ class TestRnnBackstep:
         p = relu_cell(3, V=[[1.0], [-2.0], [3.0]], activation="linear")
         _, tape = rnn_forward(p, seq([0.5]))
         dh = np.array([[0.1, -0.2, 0.3]])
-        dh0, _ = rnn_backward(p, tape, dh)
+        dh0, _ = rnn_grads(p, tape, dh)
         assert np.array_equal(dh0, dh)
 
     def test_dead_relu_zeroes_everything(self):
         p = relu_cell(2, V=[[-1.0], [-2.0]])
         _, tape = rnn_forward(p, seq([1.0], [1.0]))
-        dh0, grads = rnn_backward(p, tape, np.ones((1, 2)))
+        dh0, grads = rnn_grads(p, tape, np.ones((1, 2)))
         assert not np.any(dh0) and all(not np.any(g) for g in grads.values())
 
     def test_single_unit_hand_chain_rule(self):
         p = relu_cell(1, W=[[0.5]], V=[[1.0]], b=[0.1], activation="tanh")
         _, tape = rnn_forward(p, seq([0.1], [0.3]))
-        dh0, grads = rnn_backward(p, tape, np.ones((1, 1)))
+        dh0, grads = rnn_grads(p, tape, np.ones((1, 1)))
         h0 = math.tanh(0.2)
         m1 = 1.0 - math.tanh(0.5 * h0 + 0.4) ** 2  # d h_1 / d z_1
         m0 = 0.5 * m1 * (1.0 - h0 * h0)  # d h_1 / d z_0, through W
@@ -165,20 +178,20 @@ class TestRnnBackstep:
         p = relu_cell(8, d=2, V=rng.normal(size=(8, 2)), b=rng.normal(size=8), activation="linear")
         _, tape = rnn_forward(p, rng.normal(size=(400, 1, 2)))
         delta = rng.normal(size=(1, 8))
-        dh0, _ = rnn_backward(p, tape, delta)
+        dh0, _ = rnn_grads(p, tape, delta)
         assert np.array_equal(dh0, delta)
 
     def test_mismatched_delta_rejected(self):
         p = relu_cell(2)
         _, tape = rnn_forward(p, seq([0.0]))
         with pytest.raises(ShapeError):
-            rnn_backward(p, tape, np.ones((1, 3)))
+            rnn_grads(p, tape, np.ones((1, 3)))
 
     def test_scratch_tape_rejected(self):
         p = relu_cell(2)
         _, scratch = rnn_forward(p, seq([0.0], [0.0], [0.0]), keep=False)
         with pytest.raises(ShapeError):
-            rnn_backward(p, scratch, np.ones((1, 2)))
+            rnn_grads(p, scratch, np.ones((1, 2)))
 
 
 class TestLstmStep:
@@ -236,7 +249,7 @@ class TestLstmBackstep:
         rng = make_rng(4)
         p = random_lstm(rng, 3, 2)
         _, tape = lstm_forward(p, rng.normal(size=(3, 1, 2)))
-        dh0, dc0, grads = lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
+        dh0, dc0, grads = lstm_grads(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
         assert not np.any(dh0) and not np.any(dc0)
         assert all(not np.any(g) for g in grads.values())
 
@@ -244,7 +257,7 @@ class TestLstmBackstep:
         p = zero_lstm(1, forget_bias=20.0)
         _, tape = lstm_forward(p, seq([0.0]))
         dc = np.array([[1.0]])
-        _, dc0, _ = lstm_backward(p, tape, np.zeros((1, 1)), dc)
+        _, dc0, _ = lstm_grads(p, tape, np.zeros((1, 1)), dc)
         # d c_prev = f * dc exactly (one multiply)
         assert np.array_equal(dc0, gate(tape, "f", 0) * dc)
         assert dc0[0, 0] > 1 - 3e-9
@@ -264,7 +277,7 @@ class TestLstmBackstep:
             return float(wh @ h[0] + wc @ tape.c[-1][:, 0])
 
         _, tape = lstm_forward(p, x)
-        _, _, grads = lstm_backward(p, tape, wh[None, :], wc[None, :])
+        _, _, grads = lstm_grads(p, tape, wh[None, :], wc[None, :])
         eps = 1e-5
         for name, block in p.blocks().items():
             for i in range(block.size):
@@ -283,7 +296,7 @@ class TestLstmBackstep:
         p = zero_lstm(2)
         _, tape = lstm_forward(p, seq([0.0]))
         with pytest.raises(ShapeError):
-            lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 2)))
+            lstm_grads(p, tape, np.zeros((1, 3)), np.zeros((1, 2)))
 
 
 class TestFiniteCheck:

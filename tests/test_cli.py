@@ -564,6 +564,13 @@ class TestGradcheckCli:
         assert "--activation only apply to --cell rnn" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_a_usage_error(self, trials, capsys):
+        assert run_cli("gradcheck", "--cell", "rnn", "--trials", trials) == 1
+        captured = capsys.readouterr()
+        assert f"--trials must be >= 1, got {trials}" in captured.err
+        assert captured.out == ""
+
     def test_lstm_uses_the_relu_bound(self, capsys):
         assert run_cli("gradcheck", "--cell", "lstm", "--trials", "1", "--seed", "0") == 0
         out = capsys.readouterr().out

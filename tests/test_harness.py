@@ -31,6 +31,7 @@ from conftest import blas_threads_env, peak_traced_bytes
 from irnnlab import harness
 from irnnlab.harness import METRICS_HEADER, MetricsRow, enumerate_cells, metrics_csv
 from irnnlab.ndcore import DivergenceError
+from irnnlab.network import param_vector, score
 from irnnlab.tasks import PixelSequenceDataset
 
 ADDING_SPEC = ModelSpec(cell="rnn", hidden=12, input_dim=2, head="regression",
@@ -223,7 +224,7 @@ class TestEvaluate:
         # linear cell wired so the prediction reproduces a single-step target
         spec = ModelSpec(cell="rnn", hidden=1, input_dim=2, head="regression",
                          activation="linear", init=InitScheme("identity"))
-        params = RnnParams(W=np.eye(1), V=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="linear")
+        params = RnnParams.from_blocks(W=np.eye(1), V=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="linear")
         head = HeadParams(U=np.ones((1, 1)), c=np.zeros(1))
         ds = gen_adding(2, 50, make_rng(0))
         ds.signal[:, 1] = 0.0  # only step 0 carries signal; T=2 mask is all ones
@@ -235,7 +236,7 @@ class TestEvaluate:
     def test_constant_one_predictor_matches_baseline(self):
         spec = ModelSpec(cell="rnn", hidden=2, input_dim=2, head="regression",
                          activation="relu", init=InitScheme("identity"))
-        params = RnnParams(W=np.eye(2), V=np.zeros((2, 2)), b=np.zeros(2), activation="relu")
+        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 2)), b=np.zeros(2), activation="relu")
         head = HeadParams(U=np.zeros((1, 2)), c=np.array([1.0]))
         ds = gen_adding(10, 2000, make_rng(1))
         loss, _ = evaluate(spec, params, head, ds)
@@ -256,7 +257,7 @@ class TestEvaluate:
 
         spec = ModelSpec(cell="rnn", hidden=2, input_dim=1, head="softmax", classes=10,
                          activation="relu", init=InitScheme("identity"))
-        params = RnnParams(W=np.eye(2), V=np.zeros((2, 1)), b=np.zeros(2), activation="relu")
+        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 1)), b=np.zeros(2), activation="relu")
         head = HeadParams(U=np.zeros((10, 2)), c=np.zeros(10))
         _, accuracy = evaluate(spec, params, head, FakeDs())
         assert accuracy == pytest.approx(0.1, abs=0.02)
@@ -287,6 +288,21 @@ class TestEvaluate:
             results[k] = evaluate(spec, params, head_params, spy, chunk=1000)
             assert len(spy.threads) == k  # the caller plus k-1 helpers each scored a chunk
         assert results[2] == results[1] and results[3] == results[1]
+
+    def test_scoring_leaves_parameters_untouched(self, force_eval_threads):
+        # the LSTM negates its i|f|o rows for its GEMM; that must happen on a copy, since
+        # concurrent evaluation threads read the same parameter vector
+        spec, params, head, ds = multi_chunk_case("lstm", "regression")
+        theta = param_vector(params, head)
+        before = theta.tobytes()
+        batch = ds.batch(np.arange(20))
+        forward(spec, params, head, batch)
+        score(spec, params, head, batch)
+        force_eval_threads(2)
+        spy = ThreadSpy(ds, 2)
+        evaluate(spec, params, head, spy, chunk=1000)
+        assert len(spy.threads) == 2
+        assert theta.tobytes() == before
 
     def test_more_threads_than_cores_under_fast_switching(self, force_eval_threads):
         # 8 threads share 250 chunk slots while the interpreter switches every microsecond;

@@ -22,13 +22,13 @@ from irnnlab import (
     save_checkpoint,
 )
 from irnnlab.harness import evaluate
-from irnnlab.network import CHECKPOINT_MAGIC, score
+from irnnlab.network import CHECKPOINT_MAGIC, param_vector, score
 
 
 def zero_model(h=3, d=2, head="regression", classes=0, activation="relu", t=1):
     spec = ModelSpec(cell="rnn", hidden=h, input_dim=d, head=head, classes=classes,
                      activation=activation, init=InitScheme("identity"))
-    params = RnnParams(W=np.eye(h), V=np.zeros((h, d)), b=np.zeros(h), activation=activation)
+    params = RnnParams.from_blocks(W=np.eye(h), V=np.zeros((h, d)), b=np.zeros(h), activation=activation)
     k = spec.head_dim
     head_p = HeadParams(U=np.zeros((k, h)), c=np.zeros(k))
     return spec, params, head_p
@@ -39,7 +39,7 @@ def dyadic_bag_instance(rng, h, d, t_steps, b_lanes):
     inputs = rng.integers(0, 256, size=(t_steps, b_lanes, d)) / 256.0
     v = rng.integers(0, 16, size=(h, d)) / 4096.0
     bias = rng.integers(0, 8, size=h) / 4096.0
-    params = RnnParams(W=np.eye(h), V=v, b=bias, activation="relu")
+    params = RnnParams.from_blocks(W=np.eye(h), V=v, b=bias, activation="relu")
     return inputs, params
 
 
@@ -81,7 +81,7 @@ class TestForward:
         rng = make_rng(14)
         spec = ModelSpec(cell="rnn", hidden=10, input_dim=2, head="regression",
                          activation="relu", init=InitScheme("identity"))
-        params = RnnParams(W=np.eye(10), V=np.abs(rng.normal(0, 0.001, (10, 2))),
+        params = RnnParams.from_blocks(W=np.eye(10), V=np.abs(rng.normal(0, 0.001, (10, 2))),
                            b=np.abs(rng.normal(0, 0.001, 10)), activation="relu")
         head = HeadParams(U=np.zeros((1, 10)), c=np.zeros(1))
         inputs = rng.uniform(size=(200, 2, 2))
@@ -118,7 +118,7 @@ class TestForward:
     def test_overflow_names_step_index(self):
         h = 4
         spec = ModelSpec(cell="rnn", hidden=h, input_dim=1, head="regression", activation="linear")
-        params = RnnParams(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
+        params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
         head = HeadParams(U=np.ones((1, h)), c=np.zeros(1))
         batch = SequenceBatch(inputs=np.ones((200, 1, 1)), targets=np.zeros(1))
         with pytest.raises(DivergenceError, match=r"step \d+"):
@@ -151,7 +151,7 @@ class _FixedDataset:
 def _tenfold_linear_model():
     h = 4
     spec = ModelSpec(cell="rnn", hidden=h, input_dim=1, head="regression", activation="linear")
-    params = RnnParams(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
+    params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
     return spec, params, HeadParams(U=np.ones((1, h)), c=np.zeros(1)), np.ones((200, 1, 1))
 
 
@@ -215,7 +215,7 @@ class TestBackward:
         h = 12
         spec = ModelSpec(cell="rnn", hidden=h, input_dim=2, head="regression", activation="linear",
                          init=InitScheme("identity"))
-        params = RnnParams(W=np.eye(h), V=rng.normal(size=(h, 2)), b=rng.normal(size=h),
+        params = RnnParams.from_blocks(W=np.eye(h), V=rng.normal(size=(h, 2)), b=rng.normal(size=h),
                            activation="linear")
         head = HeadParams(U=rng.normal(size=(1, h)), c=rng.normal(size=1))
         batch = SequenceBatch(inputs=rng.normal(size=(400, 3, 2)), targets=rng.normal(size=3))
@@ -330,6 +330,60 @@ class TestInitParams:
         b_params, b_head = init_params(spec, make_rng(5))
         for k, v in param_blocks(a_params, a_head).items():
             assert np.array_equal(v, param_blocks(b_params, b_head)[k])
+
+
+LAYOUT_SPECS = [
+    ModelSpec(cell="rnn", hidden=4, input_dim=3, head="regression", activation="relu",
+              init=InitScheme("identity")),
+    ModelSpec(cell="rnn", hidden=3, input_dim=2, head="softmax", classes=5, activation="tanh"),
+    ModelSpec(cell="rnn", hidden=5, input_dim=1, head="regression", activation="linear",
+              init=InitScheme("gauss", 0.3)),
+    ModelSpec(cell="lstm", hidden=3, input_dim=2, head="regression"),
+    ModelSpec(cell="lstm", hidden=4, input_dim=1, head="softmax", classes=3, forget_bias=4.0),
+]
+
+
+def assert_one_vector(spec, vector, blocks):
+    """Every block is a view of the float64 ``vector``: the (G*H, H+D+1) operand [W | V | b]
+    per gate in i|f|o|g order, then U, then c."""
+    h, d, k = spec.hidden, spec.input_dim, spec.head_dim
+    gates = ("",) if spec.cell == "rnn" else ("i", "f", "o", "g")
+    n = len(gates) * h * (h + d + 1)
+    assert vector.dtype == np.float64 and vector.shape == (n + k * h + k,)
+    assert all(np.shares_memory(block, vector) for block in blocks.values())
+    vector[...] = np.arange(vector.size)  # distinct entries, so equal values mean the same memory
+    operand = vector[:n].reshape(len(gates) * h, h + d + 1)
+    expected = {}
+    for i, gate in enumerate(gates):
+        rows = operand[i * h : (i + 1) * h]
+        expected.update({f"W{gate}": rows[:, :h], f"V{gate}": rows[:, h : h + d], f"b{gate}": rows[:, h + d]})
+    expected.update(U=vector[n : n + k * h].reshape(k, h), c=vector[n + k * h :])
+    assert list(blocks) == list(expected)
+    for name, block in blocks.items():
+        assert np.array_equal(block, expected[name]), name
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("spec", LAYOUT_SPECS)
+    def test_init_params_lays_out_one_vector(self, spec):
+        params, head = init_params(spec, make_rng(1))
+        assert_one_vector(spec, param_vector(params, head), param_blocks(params, head))
+
+    @pytest.mark.parametrize("spec", LAYOUT_SPECS)
+    def test_load_checkpoint_lays_out_one_vector(self, spec, tmp_path):
+        params, head = init_params(spec, make_rng(2))
+        save_checkpoint(tmp_path / "model.irnn", spec, params, head)
+        _, params, head = load_checkpoint(tmp_path / "model.irnn")
+        assert_one_vector(spec, param_vector(params, head), param_blocks(params, head))
+
+    @pytest.mark.parametrize("spec", LAYOUT_SPECS)
+    def test_gradients_lay_out_one_vector(self, spec):
+        rng = make_rng(3)
+        params, head = init_params(spec, rng)
+        inputs = rng.normal(size=(4, 2, spec.input_dim))
+        targets = rng.normal(size=2) if spec.head == "regression" else np.array([0, spec.classes - 1])
+        grads = backward(spec, params, head, forward(spec, params, head, SequenceBatch(inputs, targets)).tape)
+        assert_one_vector(spec, grads.vector, grads.blocks)
 
 
 class TestCheckpoint:
