@@ -28,7 +28,7 @@ from .network import (
 from .optim import TrainConfig, clip_gradients, sgd_step
 from .tasks import (
     AddingDataset,
-    MnistSeqDataset,
+    PixelImageDataset,
     baseline_mse,
     gen_adding,
     load_adding,
@@ -46,8 +46,8 @@ __all__ = [
     "HeadParams",
     "InitScheme",
     "LstmParams",
-    "MnistSeqDataset",
     "ModelSpec",
+    "PixelImageDataset",
     "Rng",
     "RnnParams",
     "SequenceBatch",

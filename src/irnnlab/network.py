@@ -138,10 +138,6 @@ class SequenceBatch:
             )
 
     @property
-    def steps(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def size(self) -> int:
         return self.inputs.shape[1]
 

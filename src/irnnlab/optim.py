@@ -42,6 +42,8 @@ class TrainConfig:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def clip_gradients(grads: np.ndarray, blocks: Iterable[np.ndarray], gc: float) -> float:

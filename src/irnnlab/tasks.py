@@ -15,13 +15,13 @@ or 1 (-0.0 reads as 0). MNIST loads from the standard IDX files (big-endian
 magic 0x00000803 for images, 0x00000801 for labels, which must be digits
 0-9), each payload read whole with ``ndcore.read_payload``.
 
-``prepare_pixel_sequences`` views a set as T = side*side step sequences of
-one pixel each, scanline order, scaled to [0, 1]; an optional fixed
-permutation reorders the pixel sequence identically for every image, and an
-optional average-pool downsample (to any side dividing 28) shortens the
-sequence for desk-scale runs. The set keeps only the image bytes and that
-recipe; each minibatch pools and permutes the rows it draws, in integers, and
-only then builds their floats.
+A pixel set is one type from file to batch: the image bytes in scanline
+order, the label bytes, and a recipe that each minibatch applies to the rows
+it draws, in integers, before building their floats in [0, 1]. ``load_mnist``
+returns the T = side*side recipe (no pooling, identity order);
+``prepare_pixel_sequences`` swaps in an average-pool downsample (to any side
+dividing the image side) that shortens the sequence for desk-scale runs and a
+fixed permutation that reorders it identically for every image.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,18 +154,6 @@ def load_adding(path) -> AddingDataset:
     return ds
 
 
-@dataclass
-class MnistSeqDataset:
-    """Raw MNIST images (N, side*side) as bytes and labels (N,)."""
-
-    images: np.ndarray
-    labels: np.ndarray
-    side: int
-
-    def __len__(self) -> int:
-        return self.images.shape[0]
-
-
 def _read_idx(path, magic: int, dims: int) -> tuple[np.ndarray, list[int]]:
     """The ``dims`` header sizes of an IDX file with the given magic, and its payload
     as one flat uint8 array."""
@@ -179,11 +167,12 @@ def _read_idx(path, magic: int, dims: int) -> tuple[np.ndarray, list[int]]:
         return read_payload(fh, path, len(header), (math.prod(sizes),), np.uint8), sizes
 
 
-def load_mnist(images_path, labels_path) -> MnistSeqDataset:
+def load_mnist(images_path, labels_path) -> PixelImageDataset:
     """Parse an IDX image/label file pair with full structural validation.
 
     Each file is read straight into one uint8 array after its header and size
-    are checked, so each is held once. Labels must be digits 0-9.
+    are checked, so each is held once, and the set holds both arrays as read.
+    Labels must be digits 0-9.
     """
     images, (count, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     if rows != cols:
@@ -199,7 +188,8 @@ def load_mnist(images_path, labels_path) -> MnistSeqDataset:
     if labels.max() > 9:
         first = int(np.argmax(labels > 9))
         raise DataFormatError(f"{labels_path}: label {labels[first]} at offset {8 + first} is not a digit 0-9")
-    return MnistSeqDataset(images=images.reshape(count, rows * cols), labels=labels, side=rows)
+    return PixelImageDataset(images=images.reshape(count, rows * cols), labels=labels, side=rows, factor=1,
+                             permutation=np.arange(rows * cols))
 
 
 def make_permutation(n: int, seed: int) -> np.ndarray:
@@ -207,11 +197,6 @@ def make_permutation(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
     return make_rng(seed).permutation(n)
-
-
-def _validate_permutation(perm: np.ndarray, n: int) -> None:
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError(f"permutation: not a bijection on 0..{n - 1}")
 
 
 @dataclass
@@ -275,21 +260,23 @@ class PixelImageDataset:
 
 
 def prepare_pixel_sequences(
-    ds: MnistSeqDataset,
+    ds: PixelImageDataset,
     permutation: np.ndarray | None = None,
     downsample: int | None = None,
 ) -> PixelImageDataset:
-    """Every image as a sequence of T = side*side pixels, ready for batching.
+    """The same images and labels, uncopied, batched as sequences of T = side*side
+    pooled pixels in the given order.
 
-    The set holds the images' own bytes, uncopied, whatever the side: this
-    checks that the side divides the image side and that the permutation is
-    a bijection, and leaves pooling and permuting to each batch, so no array
-    of the whole set is built.
+    This checks that the side divides the image side and that the permutation is
+    a bijection, and sets the recipe; pooling and permuting are left to each batch,
+    so no array of the whole set is built. The recipe always applies to the image
+    bytes, so preparing a prepared set replaces its recipe.
     """
     side = ds.side if downsample is None else downsample
     if side < 1 or ds.side % side != 0:
         raise ValueError(f"downsample side {side} does not divide image side {ds.side}")
-    permutation = np.arange(side * side) if permutation is None else np.asarray(permutation)
-    _validate_permutation(permutation, side * side)
-    return PixelImageDataset(images=ds.images, labels=ds.labels.astype(np.int64), side=ds.side,
-                             factor=ds.side // side, permutation=permutation)
+    t = side * side
+    permutation = np.arange(t) if permutation is None else np.asarray(permutation)
+    if permutation.shape != (t,) or not np.array_equal(np.sort(permutation), np.arange(t)):
+        raise ValueError(f"permutation: not a bijection on 0..{t - 1}")
+    return replace(ds, factor=ds.side // side, permutation=permutation)

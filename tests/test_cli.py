@@ -311,6 +311,16 @@ class TestTrain:
         assert code == 2 and f"{flag[2:]} must be finite and > 0, got inf" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_and_leaves_no_directory(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--lr", "0.1", "--clip", "1",
+                       "--steps", "1", "--seed", "-1", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_divergent_run_exits_3(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--activation", "linear",
@@ -526,6 +536,16 @@ class TestGridSearchCli:
         assert "every cell diverged (2 cells)" in captured.err
         assert "best cell" not in captured.out
         assert [row["diverged"] for row in json.loads((out / "summary.json").read_text())] == [True, True]
+
+    def test_negative_seed_exits_2_and_leaves_no_directory(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "rnn", "--lrs", "0.01", "--clips", "1",
+                       "--steps-per-cell", "1", "--seed", "-1", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()  # no manifest and no cell_000.csv
 
     def test_zero_steps_per_cell_exits_1_before_training(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files

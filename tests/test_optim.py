@@ -129,6 +129,7 @@ class TestTrainConfig:
             {"lr": 0.1, "clip": 1.0, "max_steps": 1, "eval_every": 0},
             {"lr": float("inf"), "clip": 1.0, "max_steps": 1},
             {"lr": 0.1, "clip": float("inf"), "max_steps": 1},
+            {"lr": 0.1, "clip": 1.0, "max_steps": 1, "seed": -1},
         ],
     )
     def test_validation(self, kwargs):

@@ -3,12 +3,24 @@ import struct
 import numpy as np
 import pytest
 
-from irnnlab import baseline_mse, gen_adding, load_adding, load_mnist, make_permutation, make_rng, save_adding
+from irnnlab import (
+    InitScheme,
+    ModelSpec,
+    PixelImageDataset,
+    baseline_mse,
+    evaluate,
+    gen_adding,
+    init_params,
+    load_adding,
+    load_mnist,
+    make_permutation,
+    make_rng,
+    save_adding,
+)
 from irnnlab.tasks import (
     ANALYTIC_CONSTANT_BASELINE_MSE,
     REPORTED_CONSTANT_BASELINE_MSE,
     DataFormatError,
-    MnistSeqDataset,
     prepare_pixel_sequences,
 )
 from conftest import peak_traced_bytes, write_idx_images, write_idx_labels, write_mask_value
@@ -198,10 +210,11 @@ class TestIdxLoader:
     def test_loads_valid_pair(self, synthetic_mnist):
         img_path, lab_path, images, labels = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
+        assert isinstance(ds, PixelImageDataset)
         assert len(ds) == len(labels)
-        assert ds.side == 28
-        assert np.array_equal(ds.labels, labels)
-        assert np.array_equal(ds.images[0], images[0].reshape(-1))
+        assert (ds.side, ds.factor) == (28, 1) and np.array_equal(ds.permutation, np.arange(784))
+        assert ds.labels.dtype == np.uint8 and np.array_equal(ds.labels, labels)
+        assert ds.images.dtype == np.uint8 and np.array_equal(ds.images[0], images[0].reshape(-1))
 
     def test_corrupt_magic_rejected(self, tmp_path, synthetic_mnist):
         img_path, lab_path, _, _ = synthetic_mnist
@@ -264,11 +277,23 @@ class TestSequenceConversion:
         assert np.array_equal(batch.targets, labels[:2].astype(np.int64))
 
     def test_identity_permutation_matches_none(self, synthetic_mnist):
+        # and a loaded set batches at T = 784 as it stands, byte for byte as prepared
         img_path, lab_path, _, _ = synthetic_mnist
         ds = load_mnist(img_path, lab_path)
-        plain = prepare_pixel_sequences(ds).batch(np.arange(5))
-        ident = prepare_pixel_sequences(ds, permutation=np.arange(784)).batch(np.arange(5))
-        assert np.array_equal(plain.inputs, ident.inputs)
+        idx = np.array([3, 0, 3, 7, 1])
+        plain = prepare_pixel_sequences(ds).batch(idx)
+        for other in (ds, prepare_pixel_sequences(ds, permutation=np.arange(784))):
+            batch = other.batch(idx)
+            assert batch.inputs.tobytes() == plain.inputs.tobytes()
+            assert batch.targets.tobytes() == plain.targets.tobytes()
+
+    def test_loaded_set_evaluates_as_prepared(self, synthetic_mnist):
+        img_path, lab_path, _, _ = synthetic_mnist
+        ds = load_mnist(img_path, lab_path)
+        spec = ModelSpec(cell="rnn", hidden=4, input_dim=1, head="softmax", classes=10,
+                         activation="relu", init=InitScheme("identity"))
+        params, head = init_params(spec, make_rng(0))
+        assert evaluate(spec, params, head, ds) == evaluate(spec, params, head, prepare_pixel_sequences(ds))
 
     def test_downsample_average_pool_oracle(self, synthetic_mnist):
         img_path, lab_path, images, _ = synthetic_mnist
@@ -312,9 +337,14 @@ class TestSequenceConversion:
             prepare_pixel_sequences(ds, permutation=np.arange(100))
 
     @staticmethod
-    def random_bytes(n, seed=0):
+    def loaded(images, labels):
+        """A set as ``load_mnist`` returns it for 28x28 images: T = 784, unpooled, unpermuted."""
+        return PixelImageDataset(images=images, labels=labels, side=28, factor=1, permutation=np.arange(784))
+
+    @classmethod
+    def random_bytes(cls, n, seed=0):
         images = np.random.default_rng(seed).integers(0, 256, size=(n, 784), dtype=np.uint8)
-        return MnistSeqDataset(images=images, labels=np.arange(n) % 10, side=28)
+        return cls.loaded(images, np.arange(n) % 10)
 
     @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
     @pytest.mark.parametrize("side", [None, 28, 14, 7, 4, 2, 1])
@@ -344,7 +374,7 @@ class TestSequenceConversion:
     @pytest.mark.parametrize("side", [None, 28, 14, 7, 4, 2, 1])
     def test_all_white_is_exactly_one_at_every_side(self, side):
         # side 1 sums 255 * 784 = 199,920, which would overflow a uint16 accumulator
-        ds = MnistSeqDataset(images=np.full((3, 784), 255, dtype=np.uint8), labels=np.zeros(3), side=28)
+        ds = self.loaded(np.full((3, 784), 255, dtype=np.uint8), np.zeros(3))
         t = 784 if side is None else side * side
         prepared = prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=t), downsample=side)
         assert np.array_equal(prepared.floats, np.ones((3, t)))
@@ -372,12 +402,24 @@ class TestSequenceConversion:
         # 24 bytes a pixel of the 16 rows drawn is 301 KB; the whole set's bytes alone are 1.5 MB
         assert peak < 16 * 784 * 24
 
-    def test_set_holds_the_image_bytes_at_every_side(self):
-        ds = self.random_bytes(5)
+    def test_set_holds_the_image_bytes_at_every_side(self, synthetic_mnist):
+        img_path, lab_path, _, _ = synthetic_mnist
+        ds = load_mnist(img_path, lab_path)
         for side in (None, 14, 7):
             t = 784 if side is None else side * side
             prepared = prepare_pixel_sequences(ds, permutation=make_permutation(t, seed=1), downsample=side)
-            assert prepared.images is ds.images
+            assert prepared.images is ds.images and np.shares_memory(prepared.images, ds.images)
+            assert prepared.labels is ds.labels and np.shares_memory(prepared.labels, ds.labels)
+
+    def test_preparing_a_prepared_set_starts_from_the_image_bytes(self, synthetic_mnist):
+        img_path, lab_path, _, _ = synthetic_mnist
+        ds = load_mnist(img_path, lab_path)
+        perm = make_permutation(49, seed=4)
+        twice = prepare_pixel_sequences(prepare_pixel_sequences(ds, make_permutation(196, seed=3), 14), perm, 7)
+        once = prepare_pixel_sequences(ds, perm, 7)
+        assert (twice.side, twice.factor) == (once.side, once.factor) == (28, 4)
+        idx = np.arange(len(ds))
+        assert twice.batch(idx).inputs.tobytes() == once.batch(idx).inputs.tobytes()
 
 
 class TestPermutation:

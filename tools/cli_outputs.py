@@ -2,10 +2,12 @@
 
     python tools/cli_outputs.py --src SRC --out DIR
 
-SRC is a checkout of this repository; ``python -m irnnlab.cli`` is run from its
-``src/`` directory. Every command runs inside DIR with relative paths, on data the
-script writes there itself (adding-problem files from ``gen-adding`` and small
-synthetic IDX files), so two trees can be compared with
+SRC is a checkout of this repository. The script re-runs itself once in a fresh
+interpreter with SRC's ``src/`` directory as ``PYTHONPATH``, and that interpreter
+runs every command as ``irnnlab.cli.main(args)``, giving the exit code, stdout and
+stderr that ``python -m irnnlab.cli`` would give. Every command runs inside DIR
+with relative paths, on data the script writes there itself (adding-problem files
+from ``gen-adding`` and small synthetic IDX files), so two trees can be compared with
 
     diff -r DIR_A DIR_B
 
@@ -17,10 +19,14 @@ the only output that is not reproducible, is dropped from every metrics CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import struct
 import subprocess
 import sys
+import traceback
+import warnings
 from pathlib import Path
 
 ADDING = ["--data", "data/train.addp", "data/test.addp"]
@@ -132,13 +138,28 @@ def write_idx_pair(images_path: Path, labels_path: Path, n: int, seed: int) -> N
     labels_path.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
 
 
-def run(src: Path, out: Path, index: int, name: str, args: list[str]) -> None:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve() / "src"))
-    proc = subprocess.run([sys.executable, "-m", "irnnlab.cli", *args], cwd=out, env=env,
-                          capture_output=True, text=True, timeout=600)
+def run(out: Path, index: int, name: str, args: list[str]) -> None:
+    """Run ``irnnlab args`` inside ``out`` and log the exit code, stdout and stderr that
+    ``python -m irnnlab.cli`` gives: an uncaught exception prints its traceback and exits 1."""
+    from irnnlab import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(out)
+    # a fresh warnings state per command, so a repeated warning is shown again
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+        finally:
+            os.chdir(cwd)
     log = out / "log" / f"{index:02d}-{name}.txt"
-    log.write_text(f"$ irnnlab {' '.join(args)}\nexit {proc.returncode}\n"
-                   f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+    log.write_text(f"$ irnnlab {' '.join(args)}\nexit {code}\n"
+                   f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
 
 
 def drop_wallclock(out: Path) -> None:
@@ -158,18 +179,23 @@ def main(argv=None) -> int:
         p.error(f"{src} holds no src/irnnlab/cli.py")
     if out.exists() and any(out.iterdir()):
         p.error(f"{out} is not empty")
+    pythonpath = str(src.resolve() / "src")
+    if os.environ.get("PYTHONPATH") != pythonpath:  # run once more, importing SRC's irnnlab
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        return subprocess.run([sys.executable, __file__, "--src", str(src), "--out", str(out)], env=env,
+                              timeout=600).returncode
     (out / "log").mkdir(parents=True, exist_ok=True)
     (out / "mnist").mkdir()
     write_idx_pair(out / "mnist" / "train-images", out / "mnist" / "train-labels", 60, 1)
     write_idx_pair(out / "mnist" / "test-images", out / "mnist" / "test-labels", 30, 2)
     for index, (name, cmd) in enumerate(COMMANDS):
-        run(src, out, index, name, cmd)
+        run(out, index, name, cmd)
     (out / "bad-checkpoints").mkdir()
     good = (out / "irnn" / "checkpoint.irnn").read_bytes()
     for index, (name, offset, value) in enumerate(BAD_CHECKPOINTS, start=len(COMMANDS)):
         path = f"bad-checkpoints/{name}.irnn"
         (out / path).write_bytes(good[:offset] + value + good[offset + 8:])
-        run(src, out, index, f"eval-{name}", ["eval", "--checkpoint", path, "--data", "data/test.addp"])
+        run(out, index, f"eval-{name}", ["eval", "--checkpoint", path, "--data", "data/test.addp"])
     (out / "bad-data").mkdir()
     data = (out / "data" / "test.addp").read_bytes()
     t_steps = struct.unpack_from("<q", data, 8)[0]
@@ -178,9 +204,9 @@ def main(argv=None) -> int:
         offset = 24 + 8 * (example * (2 * t_steps + 1) + t_steps + step)
         (out / path).write_bytes(data[:offset] + struct.pack("<d", value) + data[offset + 8:])
         # the last --data wins
-        run(src, out, index, f"train-{name}", [*TRAIN, "--cell", "rnn", *ADDING[:2], path, "--out-dir", "bad"])
+        run(out, index, f"train-{name}", [*TRAIN, "--cell", "rnn", *ADDING[:2], path, "--out-dir", "bad"])
     for index, (name, cmd) in enumerate(LATE_COMMANDS, start=len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS)):
-        run(src, out, index, name, cmd)
+        run(out, index, name, cmd)
     drop_wallclock(out)
     total = len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS) + len(LATE_COMMANDS)
     print(f"{total} commands run; outputs in {out}")
