@@ -4,7 +4,9 @@ The plain RNN cell computes
 
     h_t = g(W h_{t-1} + V x_t + b),    g in {relu, tanh, linear}
 
-and the LSTM cell is the standard forget-gate variant without peepholes:
+where both RNN kernels take g's name as an argument, so the model spec
+(``network.ModelSpec``) alone holds it. The LSTM cell is the standard
+forget-gate variant without peepholes:
 
     i = sigmoid(Wi h + Vi x + bi)        input gate
     f = sigmoid(Wf h + Vf x + bf)        forget gate
@@ -88,10 +90,12 @@ class _Cell:
 
     @classmethod
     def from_blocks(cls, **kwargs):
-        """A cell on a new operand holding copies of the named blocks; ``activation`` passes through."""
+        """A cell on a new operand holding copies of the named blocks."""
         h, d = np.shape(kwargs[f"W{cls.gates[0]}"])[0], np.shape(kwargs[f"V{cls.gates[0]}"])[1]
         blocks = {name: np.asarray(kwargs.pop(name)) for name in cls.shapes(h, d)}
-        cell = cls(np.empty(cls.operand_shape(h, d)), **kwargs)
+        if kwargs:
+            raise TypeError(f"unknown blocks {sorted(kwargs)}")
+        cell = cls(np.empty(cls.operand_shape(h, d)))
         for name, view in cell.blocks().items():
             if blocks[name].shape != view.shape:
                 raise ShapeError(f"block {name} has shape {blocks[name].shape}; expected {view.shape}")
@@ -124,14 +128,7 @@ class _Cell:
 class RnnParams(_Cell):
     """Weights of one RNN cell: recurrent W (HxH), input V (HxD), bias b (H)."""
 
-    activation: str = "relu"
-
     gates: ClassVar[tuple[str, ...]] = ("",)
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        super().__post_init__()
 
 
 @dataclass
@@ -215,14 +212,15 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     return arrays, ns, nz
 
 
-def rnn_forward(p: RnnParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
-    """Run the RNN over (T, B, D) inputs; returns (h_T as (B, H), tape).
+def rnn_forward(p: RnnParams, activation: str, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
+    """Run the RNN with the named activation (one of ``ACTIVATIONS``) over (T, B, D) inputs;
+    returns (h_T as (B, H), tape).
 
     With ``keep`` false the tape holds only the scratch slots of the last step.
     """
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s,), ns, _ = _start(p, inputs, keep)
-    a, activate = p.a, _ACTIVATION[p.activation][0]
+    a, activate = p.a, _ACTIVATION[activation][0]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
             if not keep:
@@ -278,10 +276,10 @@ def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
     return wt, out.a, np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
 
 
-def rnn_backward(p: RnnParams, tape: CellTape, dh: np.ndarray, out: RnnParams) -> np.ndarray:
-    """Reverse the taped pass from the (B, H) delta at h_T, adding the gradients into the cell ``out``;
-    returns dh_0 as (B, H)."""
-    h, derivative = p.hidden, _ACTIVATION[p.activation][1]
+def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, out: RnnParams) -> np.ndarray:
+    """Reverse the pass that ``rnn_forward`` taped under ``activation`` from the (B, H) delta at h_T,
+    adding the gradients into the cell ``out``; returns dh_0 as (B, H)."""
+    h, derivative = p.hidden, _ACTIVATION[activation][1]
     wt, grad, step, dz, (dh,) = _reverse_start(p, tape, out, dh)
     for t in reversed(range(tape.steps)):
         np.multiply(dh, derivative(tape.s[t + 1, :h]), out=dz)

@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 from . import harness, tasks
+from .cells import ACTIVATIONS
 from .gradcheck import check_model
 from .init import parse_scheme
 from .ndcore import DivergenceError, make_rng
-from .network import ModelSpec, load_checkpoint, save_checkpoint
+from .network import CELLS, ModelSpec, load_checkpoint, save_checkpoint
 from .optim import TrainConfig
 from .tasks import DataFormatError
 
@@ -70,6 +71,12 @@ def _parse_float_list(flag: str, text: str) -> list[float]:
     if math.inf in values:
         raise UsageError(f"{flag}: list values must be finite, got {text!r}")
     return values
+
+
+def _check_seed(flag: str, seed: int | None) -> None:
+    """Reject a negative seed by its flag's name (numpy's own message names none)."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{flag} must be >= 0, got {seed}")
 
 
 def _build_parser() -> _Parser:
@@ -116,8 +123,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
-    p.add_argument("--cell", choices=("rnn", "lstm"), required=True)
-    p.add_argument("--activation", choices=("relu", "tanh", "linear"), help="rnn only (default relu)")
+    p.add_argument("--cell", choices=CELLS, required=True)
+    p.add_argument("--activation", choices=ACTIVATIONS, help=f"rnn only (default {ModelSpec.activation})")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--forget-bias", type=float)
@@ -128,8 +135,8 @@ def _build_parser() -> _Parser:
 
 def _add_model_flags(p, train: bool) -> None:
     p.add_argument("--task", choices=("adding", "mnist"), required=not train)
-    p.add_argument("--cell", choices=("rnn", "lstm"), required=not train)
-    p.add_argument("--activation", choices=("relu", "tanh", "linear"))
+    p.add_argument("--cell", choices=CELLS, required=not train)
+    p.add_argument("--activation", choices=ACTIVATIONS)
     p.add_argument("--init", help="identity | iscale:<s> | gauss:<std> | baseline (rnn only)")
     p.add_argument("--hidden", type=int, default=100)
     if train:  # grid-search sweeps --forget-biases instead
@@ -160,7 +167,7 @@ def _resolve_model(args) -> ModelSpec:
     """Validate flag combinations and produce the ModelSpec."""
     _check_cell_flags(args)
     forget_bias = getattr(args, "forget_bias", None)
-    activation = args.activation or "relu"
+    activation = args.activation or ModelSpec.activation
     init = parse_scheme(args.init or ("baseline" if args.cell == "lstm" or activation == "tanh" else "identity"))
     if args.task == "adding":
         head, input_dim, classes = "regression", 2, 0
@@ -175,7 +182,7 @@ def _resolve_model(args) -> ModelSpec:
         classes=classes,
         init=init,
         input_init_std=args.input_init_std,
-        forget_bias=forget_bias if forget_bias is not None else 1.0,
+        forget_bias=forget_bias if forget_bias is not None else ModelSpec.forget_bias,
     )
 
 
@@ -199,6 +206,7 @@ def _load_sets(args, head: str, count: int) -> list:
             if value is not None:
                 raise UsageError(f"{flag} only applies to pixel-MNIST data, not to ADDP files")
         return [tasks.load_adding(path) for path in paths]
+    _check_seed("--permute-seed", args.permute_seed)
     raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
     if raws[-1].side != raws[0].side:
         raise DataFormatError(
@@ -224,6 +232,7 @@ def _write_manifest(out_dir: Path, command: str, flags: dict, data_paths) -> Non
 
 
 def cmd_gen_adding(args) -> int:
+    _check_seed("--seed", args.seed)
     out = Path(args.out)
     rng = make_rng(args.seed)
     train_ds = tasks.gen_adding(args.t, args.n_train, rng)
@@ -296,14 +305,13 @@ def _replay_manifest(args) -> None:
 
 
 def _set_up(args, lr: float, clip: float, max_steps: int) -> tuple:
-    """The set-up that train and grid-search share: resolve the model, load the train and test
-    sets, build the TrainConfig, create --out-dir and write its manifest. Returns
-    (spec, config, train set, test set, output directory)."""
+    """The set-up that train and grid-search share: resolve the model, build the TrainConfig,
+    load the train and test sets, create --out-dir and write its manifest, so a rejected flag
+    is reported before any data is read. Returns (spec, config, train set, test set, output directory)."""
     if args.eval_every is None:
         args.eval_every = DEFAULT_EVAL_EVERY[args.task]
 
     spec = _resolve_model(args)
-    train_ds, test_ds = _load_sets(args, spec.head, 2)
     cfg = TrainConfig(
         lr=lr,
         clip=clip,
@@ -312,6 +320,7 @@ def _set_up(args, lr: float, clip: float, max_steps: int) -> tuple:
         batch_size=args.batch,
         seed=args.seed,
     )
+    train_ds, test_ds = _load_sets(args, spec.head, 2)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, args.command, _manifest_flags(args), args.data)
@@ -385,7 +394,8 @@ def cmd_gradcheck(args) -> int:
     _check_cell_flags(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    activation = args.activation or "relu"  # an lstm is checked against the relu bound
+    _check_seed("--seed", args.seed)
+    activation = args.activation or ModelSpec.activation  # an lstm is checked against the relu bound
     bound = GRADCHECK_BOUNDS[activation]
     ok = True
     for head, classes in (("regression", 0), ("softmax", 10)):
@@ -396,7 +406,7 @@ def cmd_gradcheck(args) -> int:
             head=head,
             activation=activation,
             classes=classes,
-            forget_bias=args.forget_bias if args.forget_bias is not None else 1.0,
+            forget_bias=args.forget_bias if args.forget_bias is not None else ModelSpec.forget_bias,
         )
         report = check_model(spec, trials=args.trials, seed=args.seed)
         status = "ok" if report.max_rel_err < bound else "FAIL"

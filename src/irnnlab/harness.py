@@ -47,7 +47,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,6 @@ EVAL_CHUNK = 1000
 # of forked workers sharing the cores.
 _WORKER_CTX: dict = {}
 
-METRICS_HEADER = "step,train_loss,test_loss,task_metric,grad_norm,wallclock_s"
-
 DEFAULT_LRS = [10.0**-e for e in range(9, 0, -1)]  # 1e-9 ... 1e-1
 DEFAULT_CLIPS = [1.0, 10.0, 100.0, 1000.0]
 DEFAULT_FORGET_BIASES = [1.0, 4.0, 10.0, 20.0]
@@ -89,10 +87,11 @@ class MetricsRow:
     wallclock_s: float
 
     def as_csv(self) -> str:
-        return (
-            f"{self.step},{self.train_loss!r},{self.test_loss!r},"
-            f"{self.task_metric!r},{self.grad_norm!r},{self.wallclock_s!r}"
-        )
+        """The row's fields in ``METRICS_HEADER`` order, each as its shortest round-trip repr."""
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 @dataclass

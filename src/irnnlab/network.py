@@ -68,6 +68,10 @@ CellParams = Union[RnnParams, LstmParams]
 
 CHECKPOINT_MAGIC = b"IRNN0001"
 
+# The model choices in checkpoint-code order; the CLI offers the same lists.
+CELLS = ("rnn", "lstm")
+HEADS = ("regression", "softmax")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -84,9 +88,9 @@ class ModelSpec:
     forget_bias: float = 1.0  # lstm only; 1.0 for an rnn
 
     def __post_init__(self):
-        if self.cell not in ("rnn", "lstm"):
+        if self.cell not in CELLS:
             raise ValueError(f"unknown cell {self.cell!r}")
-        if self.head not in ("regression", "softmax"):
+        if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
         if self.hidden < 1 or self.input_dim < 1:
             raise ValueError(f"hidden and input_dim must be >= 1, got {self.hidden}, {self.input_dim}")
@@ -154,12 +158,12 @@ class Tape:
 
 @dataclass
 class Gradients:
-    """The gradient vector and its named block views, plus the hidden-state deltas at both ends."""
+    """The gradient vector and its named block views, plus the (B, H) delta at the zero initial
+    state; the delta injected at h_T is ``tape.dlogits @ head.U``."""
 
     vector: np.ndarray
     blocks: dict[str, np.ndarray]
     dh0: np.ndarray
-    dh_last: np.ndarray
 
 
 class ForwardResult(NamedTuple):
@@ -175,9 +179,8 @@ def _model(spec: ModelSpec) -> tuple[np.ndarray, CellParams, HeadParams]:
     shape = cell.operand_shape(h, spec.input_dim)
     n = math.prod(shape)
     theta = np.zeros(n + k * h + k)
-    a = theta[:n].reshape(shape)
-    params = RnnParams(a, spec.activation) if spec.cell == "rnn" else LstmParams(a)
-    return theta, params, HeadParams(U=theta[n : n + k * h].reshape(k, h), c=theta[n + k * h :])
+    head = HeadParams(U=theta[n : n + k * h].reshape(k, h), c=theta[n + k * h :])
+    return theta, cell(theta[:n].reshape(shape)), head
 
 
 def param_vector(params: CellParams, head: HeadParams) -> np.ndarray:
@@ -240,8 +243,10 @@ def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceB
             raise ValueError(
                 f"labels must lie in [0, {spec.classes}), got range [{targets.min()}, {targets.max()}]"
             )
-    kernel = rnn_forward if spec.cell == "rnn" else lstm_forward
-    h_last, cell = kernel(params, batch.inputs, keep)
+    if spec.cell == "rnn":
+        h_last, cell = rnn_forward(params, spec.activation, batch.inputs, keep)
+    else:
+        h_last, cell = lstm_forward(params, batch.inputs, keep)
     logits = h_last @ head.U.T + head.c
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite loss raises below
         if spec.head == "regression":
@@ -289,25 +294,24 @@ def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) 
         raise ShapeError("tape does not match the given spec")
     dlogits = tape.dlogits
     dh = dlogits @ head.U
-    dh_last = dh.copy()
     g, grad, grad_head = _model(spec)
     if spec.cell == "rnn":
-        dh = rnn_backward(params, tape.cell, dh, grad)
+        dh = rnn_backward(params, spec.activation, tape.cell, dh, grad)
     else:
         dh, _ = lstm_backward(params, tape.cell, dh, np.zeros_like(dh), grad)
     np.matmul(dlogits.T, tape.h_last, out=grad_head.U)
     np.sum(dlogits, axis=0, out=grad_head.c)
-    return Gradients(vector=g, blocks=param_blocks(grad, grad_head), dh0=dh, dh_last=dh_last)
+    return Gradients(vector=g, blocks=param_blocks(grad, grad_head), dh0=dh)
 
 
 # The header after the magic, in file order: (field, struct code, names by code).
 # Field k sits at offset 8 + 8k; a field with names stores its name's index there.
 _HEADER = (
-    ("cell", "q", ("rnn", "lstm")),
-    ("activation", "q", ("relu", "tanh", "linear")),
+    ("cell", "q", CELLS),
+    ("activation", "q", ACTIVATIONS),
     ("hidden", "q", None),
     ("input_dim", "q", None),
-    ("head", "q", ("regression", "softmax")),
+    ("head", "q", HEADS),
     ("classes", "q", None),
     ("init kind", "q", KINDS),
     ("init value", "d", None),

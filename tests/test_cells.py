@@ -9,12 +9,11 @@ from irnnlab import DivergenceError, LstmParams, RnnParams, ShapeError, make_rng
 from irnnlab.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward, sigmoid_of_negated
 
 
-def relu_cell(h, d=1, W=None, V=None, b=None, activation="relu"):
+def rnn_cell(h, d=1, W=None, V=None, b=None):
     return RnnParams.from_blocks(
         W=np.eye(h) if W is None else np.asarray(W, float),
         V=np.zeros((h, d)) if V is None else np.asarray(V, float),
         b=np.zeros(h) if b is None else np.asarray(b, float),
-        activation=activation,
     )
 
 
@@ -29,10 +28,10 @@ def zero_lstm(h, d=1, forget_bias=0.0):
     return p
 
 
-def rnn_grads(p, tape, dh):
+def rnn_grads(p, activation, tape, dh):
     """dh_0 and the named gradient blocks from the RNN backward kernel."""
     out = replace(p, a=np.zeros_like(p.a))
-    return rnn_backward(p, tape, dh, out), out.blocks()
+    return rnn_backward(p, activation, tape, dh, out), out.blocks()
 
 
 def lstm_grads(p, tape, dh, dc):
@@ -82,22 +81,28 @@ class TestBlockShapes:
         with pytest.raises(ShapeError):
             cell.from_blocks(**blocks)
 
+    def test_unknown_block_rejected(self):
+        # the activation is an argument of the RNN kernels, not a field of the cell
+        blocks = {name: np.zeros(shape) for name, shape in RnnParams.shapes(3, 2).items()}
+        with pytest.raises(TypeError):
+            RnnParams.from_blocks(**blocks, activation="tanh")
+
 
 class TestRnnStep:
     def test_identity_carries_state(self):
         # step 0 loads [1, 2] through V; the identity carries it through step 1
-        p = relu_cell(2, V=[[2.0], [4.0]])
-        h, _ = rnn_forward(p, seq([0.5], [0.0]))
+        p = rnn_cell(2, V=[[2.0], [4.0]])
+        h, _ = rnn_forward(p, "relu", seq([0.5], [0.0]))
         assert np.array_equal(h, [[1.0, 2.0]])
 
     def test_relu_clamps_negative(self):
-        p = relu_cell(2, V=[[-1.0], [2.0]])
-        h, _ = rnn_forward(p, seq([1.0]))
+        p = rnn_cell(2, V=[[-1.0], [2.0]])
+        h, _ = rnn_forward(p, "relu", seq([1.0]))
         assert np.array_equal(h, [[0.0, 2.0]])
 
     def test_tanh_hand_value(self):
-        p = relu_cell(1, W=[[0.5]], V=[[1.0]], b=[0.1], activation="tanh")
-        h, _ = rnn_forward(p, seq([0.1], [0.3]))
+        p = rnn_cell(1, W=[[0.5]], V=[[1.0]], b=[0.1])
+        h, _ = rnn_forward(p, "tanh", seq([0.1], [0.3]))
         # h_0 = tanh(0.1 + 0.1); h_1 = tanh(0.5 * h_0 + 0.3 + 0.1)
         assert h[0, 0] == pytest.approx(math.tanh(0.5 * math.tanh(0.2) + 0.4), abs=1e-15)
 
@@ -108,39 +113,38 @@ class TestRnnStep:
         h0 = np.abs(rng.normal(size=6))
         v = np.zeros((6, 3))
         v[:, 0] = h0
-        p = relu_cell(6, d=3, V=v)
+        p = rnn_cell(6, d=3, V=v)
         inputs = np.zeros((51, 1, 3))
         inputs[0, 0, 0] = 1.0
         inputs[1:, 0, 1:] = rng.normal(size=(50, 2))
-        _, tape = rnn_forward(p, inputs)
+        _, tape = rnn_forward(p, "relu", inputs)
         for h in hidden_states(tape, 6):
             assert np.array_equal(h[0], h0)
 
     def test_batched_matches_per_lane(self):
         rng = make_rng(1)
-        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 3)), b=rng.normal(size=4), activation="tanh")
+        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 3)), b=rng.normal(size=4))
         xs = rng.normal(size=(3, 5, 3))
-        h_batch, _ = rnn_forward(p, xs)
+        h_batch, _ = rnn_forward(p, "tanh", xs)
         for lane in range(5):
-            h_lane, _ = rnn_forward(p, xs[:, lane : lane + 1])
+            h_lane, _ = rnn_forward(p, "tanh", xs[:, lane : lane + 1])
             assert np.allclose(h_batch[lane], h_lane[0], rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        p = relu_cell(2)
+        p = rnn_cell(2)
         with pytest.raises(ShapeError):
-            rnn_forward(p, np.zeros((1, 1, 2)))
+            rnn_forward(p, "relu", np.zeros((1, 1, 2)))
         with pytest.raises(ShapeError):
-            rnn_forward(p, np.zeros((1, 1)))
+            rnn_forward(p, "relu", np.zeros((1, 1)))
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     def test_scratch_run_matches_taped_run(self, activation):
         # an RNN tape is its state block alone: T+1 slots taped, 2 reused ones in scratch
         rng = make_rng(9)
-        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4),
-                      activation=activation)
+        p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4))
         xs = rng.normal(size=(7, 3, 2))
-        h_tape, tape = rnn_forward(p, xs, keep=True)
-        h_scratch, scratch = rnn_forward(p, xs, keep=False)
+        h_tape, tape = rnn_forward(p, activation, xs, keep=True)
+        h_scratch, scratch = rnn_forward(p, activation, xs, keep=False)
         assert np.array_equal(h_tape, h_scratch)
         assert tape.s.shape[0] == 8 and scratch.s.shape[0] == 2
         assert all(a is None for a in (tape.z, tape.c, tape.tc, scratch.z, scratch.c, scratch.tc))
@@ -148,22 +152,22 @@ class TestRnnStep:
 
 class TestRnnBackstep:
     def test_linear_identity_delta_unchanged(self):
-        p = relu_cell(3, V=[[1.0], [-2.0], [3.0]], activation="linear")
-        _, tape = rnn_forward(p, seq([0.5]))
+        p = rnn_cell(3, V=[[1.0], [-2.0], [3.0]])
+        _, tape = rnn_forward(p, "linear", seq([0.5]))
         dh = np.array([[0.1, -0.2, 0.3]])
-        dh0, _ = rnn_grads(p, tape, dh)
+        dh0, _ = rnn_grads(p, "linear", tape, dh)
         assert np.array_equal(dh0, dh)
 
     def test_dead_relu_zeroes_everything(self):
-        p = relu_cell(2, V=[[-1.0], [-2.0]])
-        _, tape = rnn_forward(p, seq([1.0], [1.0]))
-        dh0, grads = rnn_grads(p, tape, np.ones((1, 2)))
+        p = rnn_cell(2, V=[[-1.0], [-2.0]])
+        _, tape = rnn_forward(p, "relu", seq([1.0], [1.0]))
+        dh0, grads = rnn_grads(p, "relu", tape, np.ones((1, 2)))
         assert not np.any(dh0) and all(not np.any(g) for g in grads.values())
 
     def test_single_unit_hand_chain_rule(self):
-        p = relu_cell(1, W=[[0.5]], V=[[1.0]], b=[0.1], activation="tanh")
-        _, tape = rnn_forward(p, seq([0.1], [0.3]))
-        dh0, grads = rnn_grads(p, tape, np.ones((1, 1)))
+        p = rnn_cell(1, W=[[0.5]], V=[[1.0]], b=[0.1])
+        _, tape = rnn_forward(p, "tanh", seq([0.1], [0.3]))
+        dh0, grads = rnn_grads(p, "tanh", tape, np.ones((1, 1)))
         h0 = math.tanh(0.2)
         m1 = 1.0 - math.tanh(0.5 * h0 + 0.4) ** 2  # d h_1 / d z_1
         m0 = 0.5 * m1 * (1.0 - h0 * h0)  # d h_1 / d z_0, through W
@@ -175,23 +179,23 @@ class TestRnnBackstep:
     def test_delta_constant_over_long_chain(self):
         # linear activation, W=I: the reverse pass leaves the delta bit-identical
         rng = make_rng(2)
-        p = relu_cell(8, d=2, V=rng.normal(size=(8, 2)), b=rng.normal(size=8), activation="linear")
-        _, tape = rnn_forward(p, rng.normal(size=(400, 1, 2)))
+        p = rnn_cell(8, d=2, V=rng.normal(size=(8, 2)), b=rng.normal(size=8))
+        _, tape = rnn_forward(p, "linear", rng.normal(size=(400, 1, 2)))
         delta = rng.normal(size=(1, 8))
-        dh0, _ = rnn_grads(p, tape, delta)
+        dh0, _ = rnn_grads(p, "linear", tape, delta)
         assert np.array_equal(dh0, delta)
 
     def test_mismatched_delta_rejected(self):
-        p = relu_cell(2)
-        _, tape = rnn_forward(p, seq([0.0]))
+        p = rnn_cell(2)
+        _, tape = rnn_forward(p, "relu", seq([0.0]))
         with pytest.raises(ShapeError):
-            rnn_grads(p, tape, np.ones((1, 3)))
+            rnn_grads(p, "relu", tape, np.ones((1, 3)))
 
     def test_scratch_tape_rejected(self):
-        p = relu_cell(2)
-        _, scratch = rnn_forward(p, seq([0.0], [0.0], [0.0]), keep=False)
+        p = rnn_cell(2)
+        _, scratch = rnn_forward(p, "relu", seq([0.0], [0.0], [0.0]), keep=False)
         with pytest.raises(ShapeError):
-            rnn_grads(p, scratch, np.ones((1, 2)))
+            rnn_grads(p, "relu", scratch, np.ones((1, 2)))
 
 
 class TestLstmStep:
@@ -307,7 +311,7 @@ class TestFiniteCheck:
     def run(value, keep, activation="linear"):
         inputs = np.zeros((6, 1, 1))
         inputs[3] = value
-        return rnn_forward(relu_cell(1, W=[[0.0]], V=[[1.0]], activation=activation), inputs, keep=keep)
+        return rnn_forward(rnn_cell(1, W=[[0.0]], V=[[1.0]]), activation, inputs, keep=keep)
 
     @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
     @pytest.mark.parametrize("value", [LIMIT, -LIMIT])

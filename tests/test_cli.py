@@ -106,6 +106,14 @@ class TestGenAdding:
         assert code == 2 and "dataset size must be >= 1, got 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_names_flag_and_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("gen-adding", "--t", "5", "--n-train", "10", "--n-test", "10", "--seed", "-1",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "--seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_produces_artifacts(self, adding_files, tmp_path):
@@ -321,6 +329,25 @@ class TestTrain:
         assert code == 2 and "seed must be >= 0, got -1" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_permute_seed_names_flag(self, synthetic_mnist, tmp_path, capsys):
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6", "--permute-seed", "-1",
+                       "--lr", "0.01", "--clip", "1", "--steps", "1", "--data", str(img_path), str(lab_path),
+                       str(img_path), str(lab_path), "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "--permute-seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rejected_rate_is_reported_before_data_is_read(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--lr", "inf", "--clip", "1",
+                       "--data", str(tmp_path / "missing.addp"), str(tmp_path / "test.addp"),
+                       "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "lr must be finite and > 0, got inf" in err and "missing.addp" not in err
+        assert not out.exists()
+
     def test_divergent_run_exits_3(self, adding_files, tmp_path):
         train_file, test_file = adding_files
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--activation", "linear",
@@ -391,6 +418,18 @@ class TestEval:
                        "--data", str(img_path), str(label_12))
         err = capsys.readouterr().err
         assert code == 2 and f"{label_12}: label 12 at offset 13" in err and "Traceback" not in err
+
+    def test_negative_permute_seed_names_flag(self, synthetic_mnist, tmp_path, capsys):
+        img_path, lab_path, _, _ = synthetic_mnist
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6",
+                       "--lr", "1e-8", "--clip", "1", "--steps", "1", "--data", str(img_path),
+                       str(lab_path), str(img_path), str(lab_path), "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "checkpoint.irnn"),
+                       "--data", str(img_path), str(lab_path), "--permute-seed", "-1")
+        err = capsys.readouterr().err
+        assert code == 2 and "--permute-seed must be >= 0, got -1" in err and "Traceback" not in err
 
     def test_eval_regression_checkpoint(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
@@ -590,6 +629,11 @@ class TestGradcheckCli:
         captured = capsys.readouterr()
         assert f"--trials must be >= 1, got {trials}" in captured.err
         assert captured.out == ""
+
+    def test_negative_seed_names_flag(self, capsys):
+        assert run_cli("gradcheck", "--cell", "rnn", "--trials", "1", "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err and captured.out == ""
 
     def test_lstm_uses_the_relu_bound(self, capsys):
         assert run_cli("gradcheck", "--cell", "lstm", "--trials", "1", "--seed", "0") == 0

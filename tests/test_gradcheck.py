@@ -27,33 +27,24 @@ class TestNumericGradient:
         with pytest.raises(ValueError, match=r"w\["):
             numeric_gradient(exploding, params)
 
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            numeric_gradient(lambda p: 0.0, {"w": np.zeros(1)}, epsilon=0.0)
-
 
 class TestCompareGradients:
     def test_flags_genuine_disagreement(self):
         a = {"w": np.array([1.0, 2.0])}
         n = {"w": np.array([1.0, 2.5])}
-        checks = compare_gradients(a, n)
-        assert checks["w"].max_rel_err == pytest.approx(0.2)
-        assert checks["w"].worst_index == (1,)
+        assert compare_gradients(a, n)["w"] == pytest.approx(0.2)
 
     def test_resolution_guard_certifies_sub_noise_agreement(self):
         # both tiny, absolute agreement below the oracle's resolution budget
         a = {"w": np.array([9.840e-9])}
         n = {"w": np.array([9.837e-9])}
-        checks = compare_gradients(a, n)
-        assert checks["w"].max_rel_err == 0.0
-        assert checks["w"].certified_abs == 1  # raw ratio 3e-4 would have failed the bound
+        assert compare_gradients(a, n)["w"] == 0.0  # the raw ratio 3e-4 would have failed the bound
 
     def test_resolution_guard_does_not_hide_real_bugs(self):
         # a dropped term of size 1e-6 must still fail loudly
         a = {"w": np.array([0.0])}
         n = {"w": np.array([1e-6])}
-        checks = compare_gradients(a, n)
-        assert checks["w"].max_rel_err > 0.9
+        assert compare_gradients(a, n)["w"] > 0.9
 
 
 class TestCheckModel:

@@ -224,7 +224,7 @@ class TestEvaluate:
         # linear cell wired so the prediction reproduces a single-step target
         spec = ModelSpec(cell="rnn", hidden=1, input_dim=2, head="regression",
                          activation="linear", init=InitScheme("identity"))
-        params = RnnParams.from_blocks(W=np.eye(1), V=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="linear")
+        params = RnnParams.from_blocks(W=np.eye(1), V=np.array([[1.0, 0.0]]), b=np.zeros(1))
         head = HeadParams(U=np.ones((1, 1)), c=np.zeros(1))
         ds = gen_adding(2, 50, make_rng(0))
         ds.signal[:, 1] = 0.0  # only step 0 carries signal; T=2 mask is all ones
@@ -236,7 +236,7 @@ class TestEvaluate:
     def test_constant_one_predictor_matches_baseline(self):
         spec = ModelSpec(cell="rnn", hidden=2, input_dim=2, head="regression",
                          activation="relu", init=InitScheme("identity"))
-        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 2)), b=np.zeros(2), activation="relu")
+        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 2)), b=np.zeros(2))
         head = HeadParams(U=np.zeros((1, 2)), c=np.array([1.0]))
         ds = gen_adding(10, 2000, make_rng(1))
         loss, _ = evaluate(spec, params, head, ds)
@@ -257,7 +257,7 @@ class TestEvaluate:
 
         spec = ModelSpec(cell="rnn", hidden=2, input_dim=1, head="softmax", classes=10,
                          activation="relu", init=InitScheme("identity"))
-        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 1)), b=np.zeros(2), activation="relu")
+        params = RnnParams.from_blocks(W=np.eye(2), V=np.zeros((2, 1)), b=np.zeros(2))
         head = HeadParams(U=np.zeros((10, 2)), c=np.zeros(10))
         _, accuracy = evaluate(spec, params, head, FakeDs())
         assert accuracy == pytest.approx(0.1, abs=0.02)

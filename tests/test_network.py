@@ -28,7 +28,7 @@ from irnnlab.network import CHECKPOINT_MAGIC, param_vector, score
 def zero_model(h=3, d=2, head="regression", classes=0, activation="relu", t=1):
     spec = ModelSpec(cell="rnn", hidden=h, input_dim=d, head=head, classes=classes,
                      activation=activation, init=InitScheme("identity"))
-    params = RnnParams.from_blocks(W=np.eye(h), V=np.zeros((h, d)), b=np.zeros(h), activation=activation)
+    params = RnnParams.from_blocks(W=np.eye(h), V=np.zeros((h, d)), b=np.zeros(h))
     k = spec.head_dim
     head_p = HeadParams(U=np.zeros((k, h)), c=np.zeros(k))
     return spec, params, head_p
@@ -39,7 +39,7 @@ def dyadic_bag_instance(rng, h, d, t_steps, b_lanes):
     inputs = rng.integers(0, 256, size=(t_steps, b_lanes, d)) / 256.0
     v = rng.integers(0, 16, size=(h, d)) / 4096.0
     bias = rng.integers(0, 8, size=h) / 4096.0
-    params = RnnParams.from_blocks(W=np.eye(h), V=v, b=bias, activation="relu")
+    params = RnnParams.from_blocks(W=np.eye(h), V=v, b=bias)
     return inputs, params
 
 
@@ -82,7 +82,7 @@ class TestForward:
         spec = ModelSpec(cell="rnn", hidden=10, input_dim=2, head="regression",
                          activation="relu", init=InitScheme("identity"))
         params = RnnParams.from_blocks(W=np.eye(10), V=np.abs(rng.normal(0, 0.001, (10, 2))),
-                           b=np.abs(rng.normal(0, 0.001, 10)), activation="relu")
+                           b=np.abs(rng.normal(0, 0.001, 10)))
         head = HeadParams(U=np.zeros((1, 10)), c=np.zeros(1))
         inputs = rng.uniform(size=(200, 2, 2))
         _, _, tape = forward(spec, params, head, SequenceBatch(inputs=inputs, targets=np.zeros(2)))
@@ -118,7 +118,7 @@ class TestForward:
     def test_overflow_names_step_index(self):
         h = 4
         spec = ModelSpec(cell="rnn", hidden=h, input_dim=1, head="regression", activation="linear")
-        params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
+        params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h))
         head = HeadParams(U=np.ones((1, h)), c=np.zeros(1))
         batch = SequenceBatch(inputs=np.ones((200, 1, 1)), targets=np.zeros(1))
         with pytest.raises(DivergenceError, match=r"step \d+"):
@@ -151,7 +151,7 @@ class _FixedDataset:
 def _tenfold_linear_model():
     h = 4
     spec = ModelSpec(cell="rnn", hidden=h, input_dim=1, head="regression", activation="linear")
-    params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h), activation="linear")
+    params = RnnParams.from_blocks(W=10.0 * np.eye(h), V=np.ones((h, 1)), b=np.zeros(h))
     return spec, params, HeadParams(U=np.ones((1, h)), c=np.zeros(1)), np.ones((200, 1, 1))
 
 
@@ -215,13 +215,12 @@ class TestBackward:
         h = 12
         spec = ModelSpec(cell="rnn", hidden=h, input_dim=2, head="regression", activation="linear",
                          init=InitScheme("identity"))
-        params = RnnParams.from_blocks(W=np.eye(h), V=rng.normal(size=(h, 2)), b=rng.normal(size=h),
-                           activation="linear")
+        params = RnnParams.from_blocks(W=np.eye(h), V=rng.normal(size=(h, 2)), b=rng.normal(size=h))
         head = HeadParams(U=rng.normal(size=(1, h)), c=rng.normal(size=1))
         batch = SequenceBatch(inputs=rng.normal(size=(400, 3, 2)), targets=rng.normal(size=3))
         _, _, tape = forward(spec, params, head, batch)
         grads = backward(spec, params, head, tape)
-        assert np.array_equal(grads.dh0, grads.dh_last)
+        assert np.array_equal(grads.dh0, tape.dlogits @ head.U)
 
     def test_block_keys_match_parameters(self):
         for cell in ("rnn", "lstm"):

@@ -121,6 +121,9 @@ LATE_COMMANDS = [
     ("gradcheck-tanh", ["gradcheck", "--cell", "rnn", "--activation", "tanh"]),
     ("gradcheck-linear", ["gradcheck", "--cell", "rnn", "--activation", "linear"]),
     ("gradcheck-lstm", ["gradcheck", "--cell", "lstm", "--trials", "5"]),
+    # no --forget-bias, so the LSTM's default forget bias is pinned
+    ("train-lstm-default", [*TRAIN, "--cell", "lstm", "--out-dir", "lstm-default"]),
+    ("eval-lstm-default", ["eval", "--checkpoint", "lstm-default/checkpoint.irnn", "--data", "data/test.addp"]),
 ]
 
 
