@@ -35,6 +35,11 @@ An RNN tape is ``s`` alone: each step's GEMM is written straight into the
 rows of h_t and activated there, and g'(z) is read off h = g(z): [h > 0]
 for relu (so g'(0) = 0), 1 - h**2 for tanh and 1 for linear.
 
+The forward arrays take the dtype of the operand A, and the inputs are cast
+as they are copied into ``s``. Models are float64; ``harness.evaluate`` runs
+the tape-free pass on a float32 copy of A, where any state past float32's
+range is inf and fails the overflow check before ``OVERFLOW_LIMIT`` can.
+
 The backward kernels walk the tape in reverse. Each step takes the
 gradients of all blocks as one GEMM of the (G*H, B) pre-activation delta
 against the step's operand [h_{t-1}; x_t; 1], added in reverse time order
@@ -179,22 +184,24 @@ def _check_finite(states: list[np.ndarray], first_step: int = 0) -> None:
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
-def _arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Uninitialised arrays carved from one allocation.
+def _arrays(dtype, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialised arrays of ``dtype`` carved from one allocation.
 
     malloc reuses one large block from call to call, whereas several large
     blocks freed together go back to the OS and are page-faulted in again.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    flat = np.empty(sum(sizes))
+    flat = np.empty(sum(sizes), dtype)
     offsets = np.cumsum([0] + sizes)
     return [flat[o : o + n].reshape(shape) for o, n, shape in zip(offsets, sizes, shapes)]
 
 
 def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
-    """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``); returns (arrays, s slots, z slots).
+    """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``) in the operand's dtype;
+    returns (arrays, s slots, z slots).
 
     A tape gets the input rows of all steps in one copy; scratch slots get them step by step.
+    Either copy casts the inputs to the slots' dtype.
     """
     if inputs.ndim != 3 or inputs.shape[2] != p.input_dim or min(inputs.shape) < 1:
         raise ShapeError(f"inputs must have shape (T>=1, B>=1, {p.input_dim}), got {inputs.shape}")
@@ -204,7 +211,7 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     shapes = [(ns, h + p.input_dim + 1, b)]
     if isinstance(p, LstmParams):
         shapes += [(nz, 4 * h, b), (ns, h, b), (nz, h, b)]
-    arrays = _arrays(*shapes)
+    arrays = _arrays(p.a.dtype, *shapes)
     arrays[0][0, :h] = 0.0
     arrays[0][:, h + p.input_dim] = 1.0
     if keep:

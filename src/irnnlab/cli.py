@@ -73,10 +73,10 @@ def _parse_float_list(flag: str, text: str) -> list[float]:
     return values
 
 
-def _check_seed(flag: str, seed: int | None) -> None:
-    """Reject a negative seed by its flag's name (numpy's own message names none)."""
-    if seed is not None and seed < 0:
-        raise ValueError(f"{flag} must be >= 0, got {seed}")
+def _check_at_least(flag: str, value: int | None, least: int) -> None:
+    """Reject a value below ``least`` by its flag's name (numpy's and the loaders' messages name none)."""
+    if value is not None and value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _build_parser() -> _Parser:
@@ -206,7 +206,8 @@ def _load_sets(args, head: str, count: int) -> list:
             if value is not None:
                 raise UsageError(f"{flag} only applies to pixel-MNIST data, not to ADDP files")
         return [tasks.load_adding(path) for path in paths]
-    _check_seed("--permute-seed", args.permute_seed)
+    _check_at_least("--permute-seed", args.permute_seed, 0)
+    _check_at_least("--downsample", args.downsample, 1)
     raws = [tasks.load_mnist(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
     if raws[-1].side != raws[0].side:
         raise DataFormatError(
@@ -214,6 +215,8 @@ def _load_sets(args, head: str, count: int) -> list:
             f" but {paths[-2]} holds {raws[-1].side}x{raws[-1].side}"
         )
     side = args.downsample if args.downsample is not None else raws[0].side
+    if raws[0].side % side:
+        raise ValueError(f"--downsample {side} does not divide the image side {raws[0].side}")
     perm = None
     if args.permute_seed is not None:
         perm = tasks.make_permutation(side * side, args.permute_seed)
@@ -232,7 +235,7 @@ def _write_manifest(out_dir: Path, command: str, flags: dict, data_paths) -> Non
 
 
 def cmd_gen_adding(args) -> int:
-    _check_seed("--seed", args.seed)
+    _check_at_least("--seed", args.seed, 0)
     out = Path(args.out)
     rng = make_rng(args.seed)
     train_ds = tasks.gen_adding(args.t, args.n_train, rng)
@@ -394,7 +397,7 @@ def cmd_gradcheck(args) -> int:
     _check_cell_flags(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    _check_seed("--seed", args.seed)
+    _check_at_least("--seed", args.seed, 0)
     activation = args.activation or ModelSpec.activation  # an lstm is checked against the relu bound
     bound = GRADCHECK_BOUNDS[activation]
     ok = True

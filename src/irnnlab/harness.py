@@ -21,6 +21,13 @@ failure no further chunk is handed out. The helpers are joined before
 ``evaluate`` returns, so ``grid_search`` never forks a process that has
 threads, and its forked workers split the cores between them.
 
+Evaluation runs the recurrence in float32 and everything after h_T in
+float64; training and its gradients stay float64. float32 overflows near
+3.4e38, long before ``cells.OVERFLOW_LIMIT`` (1e100), so divergence is
+decided in float64: a chunk whose float32 pass diverges is scored again on
+the float64 parameters, and that score or error is the chunk's. A
+divergence thus names the step that ``forward`` names.
+
 Metrics CSV contract (``metrics_csv`` writes the rows ``train`` passes to
 ``on_row``): header ``step,train_loss,test_loss,task_metric,grad_norm,
 wallclock_s``, one row per eval point, ``.`` decimal separator, LF line
@@ -179,14 +186,24 @@ def evaluate(
     time and are the unit of work of the ``eval_threads()`` threads; their
     results are summed in chunk order (see the module docstring). Each
     chunk runs ``network.score``, which checks targets as ``forward`` does,
-    so a label the head cannot score raises.
+    so a label the head cannot score raises. The cell runs on a float32 copy
+    of its operand, made once per call, and a chunk whose float32 pass
+    raises ``DivergenceError`` is scored again in float64 (see the module
+    docstring).
     """
     n = len(test_ds)
+    params32 = type(params)(params.a.astype(np.float32))  # read-only, shared by the threads
     starts = range(0, n, chunk)
     scores: list = [None] * len(starts)  # (loss * lanes, hits) or the chunk's exception
     unscored = iter(range(len(starts)))
     take = threading.Lock()
     failed = False  # set under ``take``: chunks after a failure are never summed, so none is handed out
+
+    def score_chunk(batch):
+        try:
+            return score(spec, params32, head, batch)
+        except DivergenceError:  # float64 decides: its range reaches OVERFLOW_LIMIT
+            return score(spec, params, head, batch)
 
     def score_chunks() -> None:
         nonlocal failed
@@ -196,8 +213,7 @@ def evaluate(
             if i is None:
                 return
             try:
-                idx = np.arange(starts[i], min(starts[i] + chunk, n))
-                scores[i] = score(spec, params, head, test_ds.batch(idx))
+                scores[i] = score_chunk(test_ds.batch(np.arange(starts[i], min(starts[i] + chunk, n))))
             except Exception as exc:  # raised in chunk order below
                 scores[i] = exc
                 with take:

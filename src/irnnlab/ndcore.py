@@ -1,4 +1,5 @@
-"""Seeded randomness, the global L2 norm, the package's error types, and the payload reader.
+"""Seeded randomness, the global L2 norm, the package's error types, the payload reader,
+and the atomic writer.
 
 Randomness comes from a PCG64 generator so that equal seeds give equal
 streams within one installation (bitwise reproducibility across library
@@ -10,10 +11,13 @@ the file size against it with ``check_size`` before allocating anything.
 IDX files and checkpoints are then read by ``read_payload`` straight into one
 array (``network`` copies a checkpoint's once into its parameter vector); ADDP
 files are streamed in blocks of examples (``tasks.load_adding``), never whole.
+ADDP files and checkpoints are written through ``atomic_write``, so a failed or
+interrupted save never leaves a truncated file under the final name.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -76,3 +80,28 @@ def read_payload(fh, path, offset: int, shape: tuple[int, ...], dtype) -> np.nda
         size = offset + fh.readinto(payload)
     check_size(path, size, expected)
     return payload
+
+
+@contextlib.contextmanager
+def atomic_write(path, size: int):
+    """Yield ``path.tmp``, in the same directory, open for binary writing. When the block
+    ends normally it replaces ``path`` (``os.replace``); when it raises it is unlinked. So
+    ``path`` holds either its old bytes or all of the new ones.
+
+    The ``size`` bytes the file will hold are allocated up front where the platform offers
+    ``os.posix_fallocate``: ext4 starts writing back a file that is renamed over another
+    unless its blocks are allocated, which took longer than the write itself. The file is
+    cut to the bytes written, so a wrong ``size`` costs time, never bytes.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
+            yield fh
+            fh.truncate()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -9,9 +9,12 @@ tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
 i|f|o|g and the cell states) in a ``Tape`` together with h_T and the
 loss gradient at the head outputs; ``score``, which ``harness.evaluate``
 runs on every chunk, runs the same kernel with reused scratch slots
-instead. ``backward`` carries that gradient through the head to h_T and runs
-the cell's backward kernel over the tape, which writes exact gradients for
-every parameter block.
+instead. The kernel runs in the dtype of the cell operand it is given:
+float64 for every model this module builds, float32 for the copy that
+``evaluate`` passes to ``score``. The head and the loss are float64 either
+way, since h_T @ U.T promotes. ``backward`` carries that gradient through
+the head to h_T and runs the cell's backward kernel over the tape, which
+writes exact gradients for every parameter block.
 
 In memory a model is one float64 vector, laid out by ``_model``: the cell's
 (G*H, H+D+1) operand [W | V | b] (``cells``), then U (K, H), then c (K,).
@@ -62,7 +65,7 @@ from .cells import (
     rnn_forward,
 )
 from .init import DEFAULT_INPUT_STD, KINDS, InitScheme
-from .ndcore import DivergenceError, Rng, ShapeError, read_payload
+from .ndcore import DivergenceError, Rng, ShapeError, atomic_write, read_payload
 
 CellParams = Union[RnnParams, LstmParams]
 
@@ -277,7 +280,8 @@ def forward(spec: ModelSpec, params: CellParams, head: HeadParams, batch: Sequen
 
 
 def score(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> tuple[float, int]:
-    """Tape-free pass; returns the loss summed over the batch and the hit count (see ``_run``)."""
+    """Tape-free pass in the dtype of ``params.a``; returns the loss summed over the batch and the
+    hit count (see ``_run``), both computed in float64."""
     loss, _, hits, _ = _run(spec, params, head, batch, keep=False)
     return loss * batch.size, hits
 
@@ -322,15 +326,16 @@ _SPEC_STRUCT = struct.Struct("<8s" + "".join(code for _, code, _ in _HEADER))
 
 
 def save_checkpoint(path, spec: ModelSpec, params: CellParams, head: HeadParams) -> None:
-    """Write spec and parameters in the flat binary format documented above."""
+    """Write spec and parameters in the flat binary format documented above, atomically (``atomic_write``)."""
     fields = {**vars(spec), "init kind": spec.init.kind, "init value": spec.init.value}
     header = _SPEC_STRUCT.pack(
         CHECKPOINT_MAGIC,
         *(fields[field] if names is None else names.index(fields[field]) for field, _, names in _HEADER),
     )
-    with open(path, "wb") as fh:
+    blocks = param_blocks(params, head).values()
+    with atomic_write(path, len(header) + 8 * sum(block.size for block in blocks)) as fh:
         fh.write(header)
-        for block in param_blocks(params, head).values():
+        for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 

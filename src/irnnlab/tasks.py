@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ndcore import DataFormatError, Rng, check_size, make_rng, read_payload
+from .ndcore import DataFormatError, Rng, atomic_write, check_size, make_rng, read_payload
 from .network import SequenceBatch
 
 ADDING_MAGIC = b"ADDP0001"
@@ -103,9 +103,9 @@ def baseline_mse(ds: AddingDataset) -> float:
 
 
 def save_adding(ds: AddingDataset, path) -> None:
-    """Write the ADDP0001 flat binary, ``_IO_ROWS`` examples at a time."""
+    """Write the ADDP0001 flat binary, ``_IO_ROWS`` examples at a time, atomically (``atomic_write``)."""
     n, t_steps = ds.signal.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, 24 + 8 * n * (2 * t_steps + 1)) as fh:
         fh.write(ADDING_MAGIC)
         fh.write(struct.pack("<qq", t_steps, n))
         for start in range(0, n, _IO_ROWS):

@@ -339,6 +339,22 @@ class TestTrain:
         assert code == 2 and "--permute-seed must be >= 0, got -1" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side,message", [("0", "--downsample must be >= 1, got 0"),
+                                              ("-1", "--downsample must be >= 1, got -1"),
+                                              ("5", "--downsample 5 does not divide the image side 28")])
+    def test_bad_downsample_names_flag(self, side, message, synthetic_mnist, tmp_path, capsys):
+        # a side below 1 is rejected before any file is read, so missing files go unreported
+        img_path, lab_path, _, _ = synthetic_mnist
+        if side != "5":
+            img_path, lab_path = tmp_path / "missing-images", tmp_path / "missing-labels"
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "mnist", "--cell", "rnn", "--hidden", "6", "--downsample", side,
+                       "--lr", "0.01", "--clip", "1", "--steps", "1", "--data", str(img_path), str(lab_path),
+                       str(img_path), str(lab_path), "--out-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rejected_rate_is_reported_before_data_is_read(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli("train", "--task", "adding", "--cell", "rnn", "--lr", "inf", "--clip", "1",

@@ -165,3 +165,28 @@ def test_checkpoint_field_that_does_not_apply_exits_2(trained_checkpoints, tmp_p
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(path), "--data", str(trained_checkpoints / "data.addp")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _failing_adding_save(path):
+    # a target too short for the second block of 256 examples: the first block is written
+    ds = gen_adding(5, 600, make_rng(8))
+    ds.target = ds.target[:300]
+    save_adding(ds, path)
+
+
+def _failing_checkpoint_save(path):
+    # U cannot be written as float64: the header and the cell blocks are written
+    spec = ModelSpec(cell="rnn", hidden=3, input_dim=2, head="regression")
+    params, head = init_params(spec, make_rng(9))
+    head.U = np.array([["not a float"] * 3], dtype=object)
+    save_checkpoint(path, spec, params, head)
+
+
+@pytest.mark.parametrize("save", [_failing_adding_save, _failing_checkpoint_save], ids=["addp", "checkpoint"])
+def test_save_failing_mid_write_keeps_old_file(save, tmp_path):
+    path = tmp_path / "file"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(ValueError):
+        save(path)
+    assert path.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

@@ -219,6 +219,108 @@ def multi_chunk_case(cell, head):
     return spec, params, head_params, ds
 
 
+U32 = 2.0**-24  # float32 unit roundoff
+# numpy's own accuracy tests hold its float32 exp and tanh to 3 ulp, and an ulp of y is at
+# most 2 * U32 * |y|: their relative error
+FN_ERR = 3 * 2 * U32
+
+
+def float32_score_bound(spec, params, head, batch):
+    """A bound on |score with the float32 cell - score with the float64 cell| for one batch,
+    and a bound on the lanes whose predicted class the float32 cell can change.
+
+    First-order forward error analysis of the float32 recurrence, walking the float64 tape,
+    with e_t bounding the error of h_t (elementwise, per lane) and e_0 = 0:
+    - casting A and the inputs to float32 moves each entry by at most U32 relative;
+    - a float32 dot product of n = H+D+1 terms errs by at most gamma_n = n U32 / (1 - n U32)
+      times the sum of its absolute terms (Higham, Accuracy and Stability of Numerical
+      Algorithms, 3.1), in any summation order and with or without FMA;
+    so the pre-activations err by at most dz = |W| e_{t-1} + (2 U32 + gamma_n) |A| |s_t|.
+    - RNN: relu and the identity round nothing and are 1-Lipschitz, so e_t = dz; tanh adds
+      FN_ERR and has slope 1 - h**2: e_t = (1 - h**2) dz + FN_ERR |h|.
+    - LSTM: a logistic gate 1 / (1 + exp(-z)) has slope s (1 - s) and relative rounding
+      FN_ERR + 2 U32 (exp, then the sum and the reciprocal); g = tanh has slope 1 - g**2 and
+      FN_ERR; the products and the sum of c_t = f c_{t-1} + i g round by 2 U32 of
+      |f c_{t-1}| + |i g|; tanh(c_t) as g; and h_t = o tanh(c_t) rounds by U32 |h_t|.
+    The head and the loss run in float64 on h_T; the logits err by at most |U| e_T. A
+    squared residual r**2 then errs by 2 |r| dr + dr**2, and a cross-entropy term by at most
+    2 max_k dl_k, since its gradient in the logits, p - onehot, has 1-norm at most 2; and a
+    lane's argmax can move only if its top two logits lie within 2 max_k dl_k.
+    The analysis drops terms smaller by a factor of order n T U32 (below 1e-3 here) and reads
+    |s_t| off the float64 states, so the bound is doubled to cover both. ``score``'s float64
+    rounding, about 2**-53 relative per operation, is left to the caller.
+    """
+    u, h = U32, spec.hidden
+    a = np.abs(params.a)
+    n = a.shape[1]
+    grow = 2 * u + n * u / (1 - n * u)
+    _, _, tape = forward(spec, params, head, batch)
+    cell = tape.cell
+    e = np.zeros((h, batch.size))
+    de_c = np.zeros_like(e)
+    for t in range(cell.steps):
+        s_t = cell.s[t]
+        dz = a[:, :h] @ e + grow * (a @ np.abs(s_t))
+        h_t = cell.s[t + 1, :h]
+        if spec.cell == "rnn":
+            e = (1 - h_t**2) * dz + FN_ERR * np.abs(h_t) if spec.activation == "tanh" else dz
+            continue
+        z = cell.z[t]
+        i, f, o, g = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
+        di, df, do = (gate * (1 - gate) * dz[k * h : (k + 1) * h] + (FN_ERR + 2 * u) * gate
+                      for k, gate in enumerate((i, f, o)))
+        dg = (1 - g**2) * dz[3 * h :] + FN_ERR * np.abs(g)
+        c_prev, tc = cell.c[t], cell.tc[t]
+        de_c = (f * de_c + np.abs(c_prev) * df + i * dg + np.abs(g) * di
+                + 2 * u * (f * np.abs(c_prev) + i * np.abs(g)))
+        e = o * ((1 - tc**2) * de_c + FN_ERR * np.abs(tc)) + np.abs(tc) * do + u * np.abs(h_t)
+    dl = np.abs(head.U) @ e  # (K, B)
+    logits = tape.h_last @ head.U.T + head.c
+    if spec.head == "regression":
+        r = np.abs(logits[:, 0] - batch.targets)
+        return 2 * float(np.sum(2 * r * dl[0] + dl[0] ** 2)), 0
+    worst = dl.max(axis=0)
+    top2 = np.sort(logits, axis=1)[:, -2:]
+    return 2 * float(np.sum(2 * worst)), int(np.sum(top2[:, 1] - top2[:, 0] <= 2 * 2 * worst))
+
+
+class TestFloat32Evaluation:
+    """``evaluate`` runs the cell in float32: it must stay within float32's rounding of the float64
+    ``score`` summed over chunks."""
+
+    @pytest.mark.parametrize("head_kind", ["regression", "softmax"])
+    @pytest.mark.parametrize("cell,activation", [("rnn", "relu"), ("rnn", "tanh"), ("rnn", "linear"),
+                                                 ("lstm", "relu")])
+    def test_agrees_with_float64_score(self, cell, activation, head_kind):
+        # three chunks; recurrent weights small enough (or the identity) that |W| e_t, and with
+        # it the elementwise bound, does not grow geometrically over the 30 steps
+        rng = make_rng(46)
+        t_steps, n, chunk = 30, 250, 100
+        init = {"relu": InitScheme("identity"), "tanh": InitScheme("gauss", 0.1),
+                "linear": InitScheme("gauss", 0.1)}[activation] if cell == "rnn" else InitScheme("baseline")
+        spec = ModelSpec(cell=cell, hidden=8, input_dim=2 if head_kind == "regression" else 1, head=head_kind,
+                         classes=5 if head_kind == "softmax" else 0, activation=activation, init=init,
+                         input_init_std=0.3 if cell == "rnn" else 0.1)
+        if head_kind == "regression":
+            ds = gen_adding(t_steps, n, rng)
+        else:
+            ds = PixelSequenceDataset(floats=rng.uniform(size=(n, t_steps)), labels=rng.integers(0, 5, size=n))
+        params, head = init_params(spec, rng)
+        loss_sum, hits, bound, flippable = 0.0, 0, 0.0, 0
+        for start in range(0, n, chunk):
+            batch = ds.batch(np.arange(start, min(start + chunk, n)))
+            chunk_loss, chunk_hits = score(spec, params, head, batch)
+            chunk_bound, chunk_flippable = float32_score_bound(spec, params, head, batch)
+            loss_sum, hits = loss_sum + chunk_loss, hits + chunk_hits
+            bound, flippable = bound + chunk_bound, flippable + chunk_flippable
+        loss, metric = evaluate(spec, params, head, ds, chunk=chunk)
+        assert bound > 0 and 0 < loss_sum < math.inf
+        # 1e-12 relative covers the float64 sums, means and logs on both sides
+        assert abs(loss * n - loss_sum) <= bound + 1e-12 * loss_sum
+        if head_kind == "softmax":
+            assert abs(round(metric * n) - hits) <= flippable
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         # linear cell wired so the prediction reproduces a single-step target
@@ -229,9 +331,13 @@ class TestEvaluate:
         ds = gen_adding(2, 50, make_rng(0))
         ds.signal[:, 1] = 0.0  # only step 0 carries signal; T=2 mask is all ones
         ds.target[:] = ds.signal[:, 0]
+        assert score(spec, params, head, ds.batch(np.arange(50))) == (0.0, 0)  # float64: exact
+        # evaluate's float32 pass rounds each input x in [0, 1) once, to within u * x with
+        # u = 2**-24, and W = U = 1 carry it on exactly; so each residual is below u, its
+        # float64 square at most u**2, and so are their mean and the mean's square root u
         loss, rmse = evaluate(spec, params, head, ds)
-        assert loss == pytest.approx(0.0, abs=1e-24)
-        assert rmse == pytest.approx(0.0, abs=1e-12)
+        assert loss <= U32**2
+        assert rmse <= U32
 
     def test_constant_one_predictor_matches_baseline(self):
         spec = ModelSpec(cell="rnn", hidden=2, input_dim=2, head="regression",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irnnlab import make_rng
-from irnnlab.ndcore import l2_norm
+from irnnlab.ndcore import atomic_write, l2_norm
 
 
 class TestL2Norm:
@@ -29,3 +29,14 @@ class TestL2Norm:
         # |c| kept in a range where the squared elements neither under- nor overflow
         v = make_rng(seed).normal(size=13)
         assert l2_norm([v * c]) == pytest.approx(abs(c) * l2_norm([v]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("size", [1, 3, 100])
+def test_atomic_write_keeps_exactly_the_bytes_written(size, tmp_path):
+    # the size only preallocates: a file said to be shorter or longer holds what was written
+    path = tmp_path / "file"
+    path.write_bytes(b"old bytes")
+    with atomic_write(path, size) as fh:
+        fh.write(b"abc")
+    assert path.read_bytes() == b"abc"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

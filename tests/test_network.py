@@ -182,6 +182,17 @@ class TestDivergenceLocalisation:
         with pytest.raises(DivergenceError, match=rf"at step {step}$"):
             run()
 
+    def test_chunk_only_float32_overflows_is_scored_in_float64(self):
+        # over 50 steps h_t leaves float32's range (3.4e38) at t = 39 but ends near 1.1e49, far
+        # inside OVERFLOW_LIMIT: evaluate returns the float64 score, bit for bit
+        spec, params, head, inputs = _tenfold_linear_model()
+        batch = SequenceBatch(inputs=inputs[:50], targets=np.zeros(1))
+        with pytest.raises(DivergenceError):
+            score(spec, RnnParams(params.a.astype(np.float32)), head, batch)
+        loss_sum, _ = score(spec, params, head, batch)
+        assert math.isfinite(loss_sum)
+        assert evaluate(spec, params, head, _FixedDataset(batch)) == (loss_sum, math.sqrt(loss_sum))
+
     @pytest.mark.parametrize("head_kind", ["regression", "softmax"])
     @pytest.mark.parametrize("path", ["forward", "evaluate"])
     def test_non_finite_loss_raises_without_numpy_warnings(self, head_kind, path):
