@@ -23,8 +23,9 @@ GEMM A @ [h_{t-1}; x_t; 1], with A read in place, whose gates are contiguous
 (H, B) row blocks. The LSTM negates the i|f|o rows of a per-call copy of A,
 so its GEMM yields -z exactly for the three logistic gates.
 
-Tape layout (``CellTape``) for T steps; without a tape the same loop
-writes into 2 reused slots of ``s`` and ``c`` and 1 of ``z`` and ``tc``:
+Tape layout (``CellTape``) for T = len(s) - 1 steps; the tape-free pass
+(``keep=False``) runs the same loop on 2 reused slots of ``s`` and ``c`` and
+1 of ``z`` and ``tc``, and returns no tape:
 
     s   (T+1, H+D+1, B)  s[t] is the step-t operand [h_{t-1}; x_t; 1],
                          so s[t+1, :H] holds h_t
@@ -80,14 +81,8 @@ class _Cell:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for name in cls.shapes(1, 1):
+        for name in cls(np.empty(cls.operand_shape(1, 1))).blocks():
             setattr(cls, name, property(lambda self, name=name: self.blocks()[name]))
-
-    @classmethod
-    def shapes(cls, h: int, d: int) -> dict[str, tuple[int, ...]]:
-        """Every block's shape in ``blocks()`` order: W (h, h), V (h, d) and b (h,) per gate."""
-        kinds = (("W", (h, h)), ("V", (h, d)), ("b", (h,)))
-        return {f"{kind}{gate}": shape for gate in cls.gates for kind, shape in kinds}
 
     @classmethod
     def operand_shape(cls, h: int, d: int) -> tuple[int, int]:
@@ -97,14 +92,14 @@ class _Cell:
     def from_blocks(cls, **kwargs):
         """A cell on a new operand holding copies of the named blocks."""
         h, d = np.shape(kwargs[f"W{cls.gates[0]}"])[0], np.shape(kwargs[f"V{cls.gates[0]}"])[1]
-        blocks = {name: np.asarray(kwargs.pop(name)) for name in cls.shapes(h, d)}
-        if kwargs:
-            raise TypeError(f"unknown blocks {sorted(kwargs)}")
         cell = cls(np.empty(cls.operand_shape(h, d)))
         for name, view in cell.blocks().items():
-            if blocks[name].shape != view.shape:
-                raise ShapeError(f"block {name} has shape {blocks[name].shape}; expected {view.shape}")
-            view[...] = blocks[name]
+            block = np.asarray(kwargs.pop(name))
+            if block.shape != view.shape:
+                raise ShapeError(f"block {name} has shape {block.shape}; expected {view.shape}")
+            view[...] = block
+        if kwargs:
+            raise TypeError(f"unknown blocks {sorted(kwargs)}")
         return cell
 
     def __post_init__(self):
@@ -121,6 +116,7 @@ class _Cell:
         return self.a.shape[1] - self.hidden - 1
 
     def blocks(self) -> dict[str, np.ndarray]:
+        """The named views of A, per gate W (H, H), V (H, D) and b (H,), in checkpoint order."""
         h, d = self.hidden, self.input_dim
         out = {}
         for k, gate in enumerate(self.gates):
@@ -145,9 +141,8 @@ class LstmParams(_Cell):
 
 @dataclass
 class CellTape:
-    """Arrays of one forward pass, laid out as in the module docstring; an RNN's is ``s`` alone."""
+    """Arrays of one forward pass of ``len(s) - 1`` steps, laid out as in the module docstring."""
 
-    steps: int
     s: np.ndarray
     z: np.ndarray | None = None  # LSTM only, like c and tc
     c: np.ndarray | None = None
@@ -219,12 +214,11 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     return arrays, ns, nz
 
 
-def rnn_forward(p: RnnParams, activation: str, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
+def rnn_forward(
+    p: RnnParams, activation: str, inputs: np.ndarray, keep: bool = True
+) -> tuple[np.ndarray, CellTape | None]:
     """Run the RNN with the named activation (one of ``ACTIVATIONS``) over (T, B, D) inputs;
-    returns (h_T as (B, H), tape).
-
-    With ``keep`` false the tape holds only the scratch slots of the last step.
-    """
+    returns (h_T as (B, H), tape), the tape None without ``keep``."""
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s,), ns, _ = _start(p, inputs, keep)
     a, activate = p.a, _ACTIVATION[activation][0]
@@ -237,11 +231,11 @@ def rnn_forward(p: RnnParams, activation: str, inputs: np.ndarray, keep: bool = 
                 _check_finite([ht[None]], t)
     if keep:
         _check_finite([s[1:, :h]])
-    return s[t_steps % ns, :h].T, CellTape(t_steps, s)
+    return s[t_steps % ns, :h].T, CellTape(s) if keep else None
 
 
-def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape]:
-    """Run the LSTM over (T, B, D) inputs; returns (h_T as (B, H), tape)."""
+def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape | None]:
+    """Run the LSTM over (T, B, D) inputs; returns (h_T as (B, H), tape), the tape None without ``keep``."""
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s, gates, c, tc), ns, nz = _start(p, inputs, keep)
     c[0] = 0.0
@@ -263,7 +257,7 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
                 _check_finite([ht[None], ct[None]], t)
     if keep:
         _check_finite([s[1:, :h], c[1:]])
-    return s[t_steps % ns, :h].T, CellTape(t_steps, s, gates, c, tc)
+    return s[t_steps % ns, :h].T, CellTape(s, gates, c, tc) if keep else None
 
 
 def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
@@ -277,8 +271,6 @@ def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
     for delta in deltas:
         if delta.shape != (b, h):
             raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
-    if tape.s.shape[0] != tape.steps + 1:
-        raise ShapeError("tape holds scratch slots only; run the forward kernel with keep=True")
     wt = np.ascontiguousarray(a[:, :h].T)
     return wt, out.a, np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
 
@@ -288,7 +280,7 @@ def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, 
     adding the gradients into the cell ``out``; returns dh_0 as (B, H)."""
     h, derivative = p.hidden, _ACTIVATION[activation][1]
     wt, grad, step, dz, (dh,) = _reverse_start(p, tape, out, dh)
-    for t in reversed(range(tape.steps)):
+    for t in reversed(range(len(tape.s) - 1)):
         np.multiply(dh, derivative(tape.s[t + 1, :h]), out=dz)
         dh = wt @ dz
         grad += np.matmul(dz, tape.s[t].T, out=step)
@@ -306,7 +298,7 @@ def lstm_backward(
     h = p.hidden
     wt, grad, step, dz, (dh, dc) = _reverse_start(p, tape, out, dh, dc)
     dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
-    for t in reversed(range(tape.steps)):
+    for t in reversed(range(len(tape.s) - 1)):
         gt, tct = tape.z[t], tape.tc[t]
         i, f, o, g = gt[:h], gt[h : 2 * h], gt[2 * h : 3 * h], gt[3 * h :]
         dc_total = dc + dh * o * (1.0 - tct * tct)

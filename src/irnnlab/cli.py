@@ -31,8 +31,6 @@ from .network import CELLS, ModelSpec, load_checkpoint, save_checkpoint
 from .optim import TrainConfig
 from .tasks import DataFormatError
 
-MNIST_CLASSES = 10
-
 # Documented step budgets per task when --steps is omitted.
 DEFAULT_STEPS = {"adding": 100_000, "mnist": 1_000_000}
 DEFAULT_EVAL_EVERY = {"adding": 200, "mnist": 1000}
@@ -141,9 +139,9 @@ def _add_model_flags(p, train: bool) -> None:
     p.add_argument("--hidden", type=int, default=100)
     if train:  # grid-search sweeps --forget-biases instead
         p.add_argument("--forget-bias", type=float, help="LSTM forget-gate bias (lstm only)")
-    p.add_argument("--input-init-std", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--input-init-std", type=float, default=ModelSpec.input_init_std)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--data", nargs="+", required=not train, help="adding: train.addp test.addp; mnist: train-images train-labels test-images test-labels")
     p.add_argument("--permute-seed", type=int, help="fixed pixel permutation seed (mnist only)")
     p.add_argument("--downsample", type=int, help="average-pool images to this side (mnist only)")
@@ -172,7 +170,7 @@ def _resolve_model(args) -> ModelSpec:
     if args.task == "adding":
         head, input_dim, classes = "regression", 2, 0
     else:
-        head, input_dim, classes = "softmax", 1, MNIST_CLASSES
+        head, input_dim, classes = "softmax", 1, tasks.MNIST_CLASSES
     return ModelSpec(
         cell=args.cell,
         hidden=args.hidden,
@@ -417,7 +415,7 @@ def cmd_gradcheck(args) -> int:
         print(
             f"{args.cell}/{activation}/{head}: max_rel_err {report.max_rel_err:.3e}"
             f" (bound {bound:g}, worst block {report.worst_block()},"
-            f" {report.trials} trials, {report.redrawn} redrawn) {status}"
+            f" {args.trials} trials, {report.redrawn} redrawn) {status}"
         )
     return 0 if ok else 2
 

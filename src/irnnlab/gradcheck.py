@@ -45,7 +45,6 @@ class GradReport:
     """Comparison outcome across all blocks and trials: each block's worst relative error."""
 
     blocks: dict[str, float]
-    trials: int
     redrawn: int  # trials discarded by the kink guard
 
     @property
@@ -141,10 +140,10 @@ def check_model(spec: ModelSpec, trials: int, seed: int) -> GradReport:
             if redrawn > 50 * trials:
                 raise RuntimeError("kink guard kept rejecting trials; widen the model scales")
             continue
-        analytic = backward(spec, params, head, forward(spec, params, head, batch).tape).blocks
+        analytic = backward(params, head, forward(spec, params, head, batch).tape).blocks
         blocks = param_blocks(params, head)
         numeric = numeric_gradient(lambda _: forward(spec, params, head, batch).loss, blocks)
         for name, err in compare_gradients(analytic, numeric).items():
             worst[name] = max(worst.get(name, err), err)
         done += 1
-    return GradReport(blocks=worst, trials=trials, redrawn=redrawn)
+    return GradReport(blocks=worst, redrawn=redrawn)

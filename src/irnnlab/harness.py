@@ -177,13 +177,11 @@ def eval_threads() -> int:
 
 
 @one_blas_thread()
-def evaluate(
-    spec: ModelSpec, params: CellParams, head: HeadParams, test_ds, chunk: int = EVAL_CHUNK
-) -> tuple[float, float]:
+def evaluate(spec: ModelSpec, params: CellParams, head: HeadParams, test_ds) -> tuple[float, float]:
     """Mean loss over the full test set plus the task metric (RMSE or accuracy).
 
-    Chunks of ``chunk`` sequences bound the (T, B, D) input block built at a
-    time and are the unit of work of the ``eval_threads()`` threads; their
+    Chunks of ``EVAL_CHUNK`` sequences bound the (T, B, D) input block built at
+    a time and are the unit of work of the ``eval_threads()`` threads; their
     results are summed in chunk order (see the module docstring). Each
     chunk runs ``network.score``, which checks targets as ``forward`` does,
     so a label the head cannot score raises. The cell runs on a float32 copy
@@ -193,7 +191,7 @@ def evaluate(
     """
     n = len(test_ds)
     params32 = type(params)(params.a.astype(np.float32))  # read-only, shared by the threads
-    starts = range(0, n, chunk)
+    starts = range(0, n, EVAL_CHUNK)
     scores: list = [None] * len(starts)  # (loss * lanes, hits) or the chunk's exception
     unscored = iter(range(len(starts)))
     take = threading.Lock()
@@ -213,7 +211,7 @@ def evaluate(
             if i is None:
                 return
             try:
-                scores[i] = score_chunk(test_ds.batch(np.arange(starts[i], min(starts[i] + chunk, n))))
+                scores[i] = score_chunk(test_ds.batch(np.arange(starts[i], min(starts[i] + EVAL_CHUNK, n))))
             except Exception as exc:  # raised in chunk order below
                 scores[i] = exc
                 with take:
@@ -245,7 +243,7 @@ def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: Hea
     loss and the gradient norm before clipping. The tape and the gradients die on return, so the
     next update's forward pass never allocates while this one's tape is alive."""
     loss, _, tape = forward(spec, params, head, batch)
-    grads = backward(spec, params, head, tape)
+    grads = backward(params, head, tape)
     norm = clip_gradients(grads.vector, grads.blocks.values(), cfg.clip)
     sgd_step(theta, grads.vector, cfg.lr)
     return loss, norm

@@ -6,15 +6,16 @@ scores it with mean squared error (regression) or cross-entropy (softmax
 classification), averaged over the batch. ``forward`` keeps the kernel's
 tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
 [h; x; 1], and for the LSTM also the (4H, B) gate activations stacked
-i|f|o|g and the cell states) in a ``Tape`` together with h_T and the
-loss gradient at the head outputs; ``score``, which ``harness.evaluate``
-runs on every chunk, runs the same kernel with reused scratch slots
-instead. The kernel runs in the dtype of the cell operand it is given:
+i|f|o|g and the cell states) in a ``Tape`` together with the spec, h_T and
+the loss gradient at the head outputs; ``score``, which ``harness.evaluate``
+runs on every chunk, runs the same kernel with reused scratch slots and
+keeps no tape. The kernel runs in the dtype of the cell operand it is given:
 float64 for every model this module builds, float32 for the copy that
 ``evaluate`` passes to ``score``. The head and the loss are float64 either
-way, since h_T @ U.T promotes. ``backward`` carries that gradient through
-the head to h_T and runs the cell's backward kernel over the tape, which
-writes exact gradients for every parameter block.
+way, since h_T @ U.T promotes. ``backward(params, head, tape)`` carries
+that gradient through the head to h_T and runs the cell's backward kernel
+over the tape under the tape's spec, which writes exact gradients for every
+parameter block.
 
 In memory a model is one float64 vector, laid out by ``_model``: the cell's
 (G*H, H+D+1) operand [W | V | b] (``cells``), then U (K, H), then c (K,).
@@ -40,9 +41,10 @@ Checkpoint format (little-endian throughout):
                 bo, Wg, Vg, bg, U, c)
 
 ``load_checkpoint`` validates the header and the spec (so a field that does not
-apply, such as an lstm's activation, must hold its one allowed value), then reads the payload
-through ``ndcore.read_payload`` as one float64 array and copies its blocks into a new
-parameter vector: the file holds each block whole, the vector interleaves W, V and b by row.
+apply, such as an lstm's activation, must hold its one allowed value), then reads the payload,
+sized from the spec, through ``ndcore.read_payload``, which checks the file size before it
+allocates. It splits the payload by the sizes of the ``param_blocks`` views of a new vector,
+in file order: the file holds each block whole, the vector interleaves W, V and b by row.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class SequenceBatch:
 
 @dataclass
 class Tape:
-    """Everything ``backward`` needs from one forward pass."""
+    """What ``backward`` needs from one forward pass besides its parameters, which a tape never holds."""
 
     spec: ModelSpec
     cell: CellTape
@@ -286,17 +288,14 @@ def score(spec: ModelSpec, params: CellParams, head: HeadParams, batch: Sequence
     return loss * batch.size, hits
 
 
-def backward(spec: ModelSpec, params: CellParams, head: HeadParams, tape: Tape) -> Gradients:
-    """Exact gradients of the mean loss for every parameter block.
+def backward(params: CellParams, head: HeadParams, tape: Tape) -> Gradients:
+    """Exact gradients of the mean loss for every parameter block, under the spec the tape was
+    made with; ``params`` and ``head`` are the ones ``forward`` ran.
 
     The loss reads the final state only, so the hidden delta is injected at
     t = T and propagated backward through the tape by the cell's kernel.
     """
-    if tape.spec != spec:
-        raise ValueError("tape was produced under a different model spec")
-    if tape.h_last.shape[1] != spec.hidden:
-        raise ShapeError("tape does not match the given spec")
-    dlogits = tape.dlogits
+    spec, dlogits = tape.spec, tape.dlogits
     dh = dlogits @ head.U
     g, grad, grad_head = _model(spec)
     if spec.cell == "rnn":
@@ -355,11 +354,11 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
             fields[field] = value if names is None else names[value]
         kind, value = fields.pop("init kind"), fields.pop("init value")
         spec = ModelSpec(**fields, init=InitScheme(kind, value))
-        h, k = spec.hidden, spec.head_dim
-        cell = RnnParams if spec.cell == "rnn" else LstmParams
-        sizes = [math.prod(shape) for shape in cell.shapes(h, spec.input_dim).values()] + [k * h, k]  # file order
-        payload = read_payload(fh, path, _SPEC_STRUCT.size, (sum(sizes),), "<f8")
+        h, k, cell = spec.hidden, spec.head_dim, RnnParams if spec.cell == "rnn" else LstmParams
+        size = math.prod(cell.operand_shape(h, spec.input_dim)) + k * h + k  # the vector's (``_model``)
+        payload = read_payload(fh, path, _SPEC_STRUCT.size, (size,), "<f8")
     _, params, head = _model(spec)
-    for view, part in zip(param_blocks(params, head).values(), np.split(payload, np.cumsum(sizes)[:-1])):
+    views = param_blocks(params, head).values()
+    for view, part in zip(views, np.split(payload, np.cumsum([view.size for view in views])[:-1])):
         view[...] = part.reshape(view.shape)
     return spec, params, head

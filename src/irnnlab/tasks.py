@@ -39,6 +39,7 @@ from .network import SequenceBatch
 ADDING_MAGIC = b"ADDP0001"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+MNIST_CLASSES = 10  # labels are the digits 0 .. MNIST_CLASSES - 1
 
 # Widely quoted reference MSE for the constant-1 predictor on this task; the
 # analytic value for the sum of two independent U[0,1] draws is 1/6.
@@ -143,7 +144,7 @@ def load_adding(path) -> AddingDataset:
             part, values = slice(start, start + len(rows)), rows[:, t_steps:-1]
             ds.signal[part] = rows[:, :t_steps]
             ds.mask[part] = values  # a cast: True where nonzero, NaN included
-            if not np.all(values[ds.mask[part]] == 1.0):
+            if np.count_nonzero(values == 1.0) != np.count_nonzero(ds.mask[part]):  # a nonzero other than 1
                 row, step = np.argwhere((values != 0.0) & (values != 1.0))[0]
                 example, offset = start + row, 24 + 8 * ((start + row) * width + t_steps + step)
                 raise DataFormatError(
@@ -185,9 +186,11 @@ def load_mnist(images_path, labels_path) -> PixelImageDataset:
         raise DataFormatError(
             f"count mismatch: {images_path} holds {count} images but {labels_path} holds {lab_count} labels"
         )
-    if labels.max() > 9:
-        first = int(np.argmax(labels > 9))
-        raise DataFormatError(f"{labels_path}: label {labels[first]} at offset {8 + first} is not a digit 0-9")
+    if labels.max() >= MNIST_CLASSES:
+        first = int(np.argmax(labels >= MNIST_CLASSES))
+        raise DataFormatError(
+            f"{labels_path}: label {labels[first]} at offset {8 + first} is not a digit 0-{MNIST_CLASSES - 1}"
+        )
     return PixelImageDataset(images=images.reshape(count, rows * cols), labels=labels, side=rows, factor=1,
                              permutation=np.arange(rows * cols))
 

@@ -99,7 +99,7 @@ def test_criterion_3_delta_constancy():
     batch = il.SequenceBatch(inputs=rng.uniform(size=(t_steps, lanes, d)),
                              targets=rng.normal(size=lanes))
     _, _, tape = forward(spec, params, head, batch)
-    grads = il.backward(spec, params, head, tape)
+    grads = il.backward(params, head, tape)
     assert np.array_equal(grads.dh0, tape.dlogits @ head.U)
     report("3 (delta constancy)", f"delta at t=0 equals injected delta bit-exactly over T={t_steps}")
 

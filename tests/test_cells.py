@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import peak_traced_bytes
 from irnnlab import DivergenceError, LstmParams, RnnParams, ShapeError, make_rng
 from irnnlab.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward, sigmoid_of_negated
 
@@ -66,26 +67,34 @@ def random_lstm(rng, h, d, scale=1.0):
     return LstmParams.from_blocks(**{k: rng.normal(0, scale, size=v.shape) for k, v in zero_lstm(h, d=d).blocks().items()})
 
 
+def zero_blocks(cell, h, d):
+    """Zero copies of the named blocks of a cell with hidden size h and input size d."""
+    return {name: np.zeros(view.shape) for name, view in cell(np.zeros(cell.operand_shape(h, d))).blocks().items()}
+
+
 class TestBlockShapes:
-    @pytest.mark.parametrize("cell", [RnnParams, LstmParams])
-    def test_blocks_follow_the_shape_table(self, cell):
-        # checkpoints write the blocks in ``shapes`` order
-        params = cell.from_blocks(**{name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()})
-        assert [(name, a.shape) for name, a in params.blocks().items()] == list(cell.shapes(3, 2).items())
+    @pytest.mark.parametrize("cell,gates", [(RnnParams, [""]), (LstmParams, ["i", "f", "o", "g"])],
+                             ids=["RnnParams", "LstmParams"])
+    def test_blocks_follow_the_shape_table(self, cell, gates):
+        # checkpoints write the blocks in ``blocks()`` order: W, V and b per gate
+        params = cell.from_blocks(**zero_blocks(cell, 3, 2))
+        kinds = (("W", (3, 3)), ("V", (3, 2)), ("b", (3,)))
+        table = [(f"{kind}{gate}", shape) for gate in gates for kind, shape in kinds]
+        assert [(name, a.shape) for name, a in params.blocks().items()] == table
+        assert [(name, getattr(params, name).shape) for name, _ in table] == table
 
     @pytest.mark.parametrize("cell,name", [(RnnParams, "W"), (RnnParams, "V"), (RnnParams, "b"),
                                            (LstmParams, "Vf"), (LstmParams, "bo")])
     def test_misshaped_block_rejected(self, cell, name):
-        blocks = {name: np.zeros(shape) for name, shape in cell.shapes(3, 2).items()}
+        blocks = zero_blocks(cell, 3, 2)
         blocks[name] = np.zeros(blocks[name].shape + (1,))
         with pytest.raises(ShapeError):
             cell.from_blocks(**blocks)
 
     def test_unknown_block_rejected(self):
         # the activation is an argument of the RNN kernels, not a field of the cell
-        blocks = {name: np.zeros(shape) for name, shape in RnnParams.shapes(3, 2).items()}
         with pytest.raises(TypeError):
-            RnnParams.from_blocks(**blocks, activation="tanh")
+            RnnParams.from_blocks(**zero_blocks(RnnParams, 3, 2), activation="tanh")
 
 
 class TestRnnStep:
@@ -139,15 +148,15 @@ class TestRnnStep:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     def test_scratch_run_matches_taped_run(self, activation):
-        # an RNN tape is its state block alone: T+1 slots taped, 2 reused ones in scratch
+        # an RNN tape is its state block alone, T+1 slots; the tape-free pass returns none
         rng = make_rng(9)
         p = RnnParams.from_blocks(W=rng.normal(size=(4, 4)), V=rng.normal(size=(4, 2)), b=rng.normal(size=4))
         xs = rng.normal(size=(7, 3, 2))
         h_tape, tape = rnn_forward(p, activation, xs, keep=True)
         h_scratch, scratch = rnn_forward(p, activation, xs, keep=False)
         assert np.array_equal(h_tape, h_scratch)
-        assert tape.s.shape[0] == 8 and scratch.s.shape[0] == 2
-        assert all(a is None for a in (tape.z, tape.c, tape.tc, scratch.z, scratch.c, scratch.tc))
+        assert tape.s.shape[0] == 8 and scratch is None
+        assert all(a is None for a in (tape.z, tape.c, tape.tc))
 
 
 class TestRnnBackstep:
@@ -190,12 +199,6 @@ class TestRnnBackstep:
         _, tape = rnn_forward(p, "relu", seq([0.0]))
         with pytest.raises(ShapeError):
             rnn_grads(p, "relu", tape, np.ones((1, 3)))
-
-    def test_scratch_tape_rejected(self):
-        p = rnn_cell(2)
-        _, scratch = rnn_forward(p, "relu", seq([0.0], [0.0], [0.0]), keep=False)
-        with pytest.raises(ShapeError):
-            rnn_grads(p, "relu", scratch, np.ones((1, 2)))
 
 
 class TestLstmStep:
@@ -244,8 +247,8 @@ class TestLstmStep:
         p = random_lstm(rng, 4, 2)
         xs = rng.normal(size=(7, 3, 2))
         h_tape, _ = lstm_forward(p, xs, keep=True)
-        h_scratch, _ = lstm_forward(p, xs, keep=False)
-        assert np.array_equal(h_tape, h_scratch)
+        h_scratch, scratch = lstm_forward(p, xs, keep=False)
+        assert np.array_equal(h_tape, h_scratch) and scratch is None
 
 
 class TestLstmBackstep:
@@ -301,6 +304,29 @@ class TestLstmBackstep:
         _, tape = lstm_forward(p, seq([0.0]))
         with pytest.raises(ShapeError):
             lstm_grads(p, tape, np.zeros((1, 3)), np.zeros((1, 2)))
+
+
+class TestTapeFreeMemory:
+    # A slot is one step's (H+D+1, B) float64 operand. A tape holds T+1 of them, and an LSTM's
+    # gates and cell states over 2000 more. The tape-free pass reuses 2; the LSTM's also holds
+    # one step of gates and two of cell states (7H rows) and its copy of A, 10.4 slots here.
+    T, B, H, D = 400, 64, 32, 2
+    SLOT = (H + D + 1) * B * 8
+
+    @pytest.mark.parametrize("cell,slots", [("relu", 3), ("tanh", 3), ("linear", 3), ("lstm", 16)])
+    def test_peak_does_not_grow_with_t(self, cell, slots):
+        rng = make_rng(11)
+        xs = rng.normal(size=(self.T, self.B, self.D))
+        if cell == "lstm":
+            p = random_lstm(rng, self.H, self.D, scale=0.1)
+            run = lambda keep: lstm_forward(p, xs, keep)
+        else:
+            p = rnn_cell(self.H, d=self.D, V=rng.normal(0.0, 0.1, size=(self.H, self.D)))
+            run = lambda keep: rnn_forward(p, cell, xs, keep)
+        _, peak = peak_traced_bytes(lambda: run(False))
+        _, taped_peak = peak_traced_bytes(lambda: run(True))
+        assert peak <= slots * self.SLOT
+        assert taped_peak >= (self.T + 1) * self.SLOT
 
 
 class TestFiniteCheck:

@@ -91,6 +91,12 @@ def force_eval_threads(monkeypatch):
 
 
 @pytest.fixture
+def eval_chunk(monkeypatch):
+    """``use(n)`` makes ``evaluate`` score chunks of n sequences."""
+    return lambda n: monkeypatch.setattr(harness, "EVAL_CHUNK", n)
+
+
+@pytest.fixture
 def blas(monkeypatch):
     """``(get, set)`` of the thread count ``harness`` pins, set to 2 for the test and
     restored after it: numpy's OpenBLAS where found, a stand-in elsewhere."""
@@ -258,7 +264,7 @@ def float32_score_bound(spec, params, head, batch):
     cell = tape.cell
     e = np.zeros((h, batch.size))
     de_c = np.zeros_like(e)
-    for t in range(cell.steps):
+    for t in range(len(cell.s) - 1):
         s_t = cell.s[t]
         dz = a[:, :h] @ e + grow * (a @ np.abs(s_t))
         h_t = cell.s[t + 1, :h]
@@ -291,7 +297,7 @@ class TestFloat32Evaluation:
     @pytest.mark.parametrize("head_kind", ["regression", "softmax"])
     @pytest.mark.parametrize("cell,activation", [("rnn", "relu"), ("rnn", "tanh"), ("rnn", "linear"),
                                                  ("lstm", "relu")])
-    def test_agrees_with_float64_score(self, cell, activation, head_kind):
+    def test_agrees_with_float64_score(self, cell, activation, head_kind, eval_chunk):
         # three chunks; recurrent weights small enough (or the identity) that |W| e_t, and with
         # it the elementwise bound, does not grow geometrically over the 30 steps
         rng = make_rng(46)
@@ -313,7 +319,8 @@ class TestFloat32Evaluation:
             chunk_bound, chunk_flippable = float32_score_bound(spec, params, head, batch)
             loss_sum, hits = loss_sum + chunk_loss, hits + chunk_hits
             bound, flippable = bound + chunk_bound, flippable + chunk_flippable
-        loss, metric = evaluate(spec, params, head, ds, chunk=chunk)
+        eval_chunk(chunk)
+        loss, metric = evaluate(spec, params, head, ds)
         assert bound > 0 and 0 < loss_sum < math.inf
         # 1e-12 relative covers the float64 sums, means and logs on both sides
         assert abs(loss * n - loss_sum) <= bound + 1e-12 * loss_sum
@@ -368,34 +375,38 @@ class TestEvaluate:
         _, accuracy = evaluate(spec, params, head, FakeDs())
         assert accuracy == pytest.approx(0.1, abs=0.02)
 
-    def test_label_the_head_cannot_score_raises_value_error(self):
+    def test_label_the_head_cannot_score_raises_value_error(self, eval_chunk):
         # a 4-class head and a label of 4 in the second chunk: checked like ``forward``,
         # not an IndexError from the loss
         spec, params, head, ds = multi_chunk_case("rnn", "softmax")
         ds.labels[1200] = 4
+        eval_chunk(1000)
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
-            evaluate(spec, params, head, ds, chunk=1000)
+            evaluate(spec, params, head, ds)
 
-    def test_chunking_does_not_change_result(self, tiny_adding):
+    def test_chunking_does_not_change_result(self, tiny_adding, eval_chunk):
         train_ds, test_ds = tiny_adding
         params, head = init_params(ADDING_SPEC, make_rng(3))
-        a = evaluate(ADDING_SPEC, params, head, test_ds, chunk=128)
-        b = evaluate(ADDING_SPEC, params, head, test_ds, chunk=37)
+        eval_chunk(128)
+        a = evaluate(ADDING_SPEC, params, head, test_ds)
+        eval_chunk(37)
+        b = evaluate(ADDING_SPEC, params, head, test_ds)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
 
     @pytest.mark.parametrize("head", ["regression", "softmax"])
     @pytest.mark.parametrize("cell", ["rnn", "lstm"])
-    def test_thread_count_does_not_change_result(self, cell, head, force_eval_threads):
+    def test_thread_count_does_not_change_result(self, cell, head, force_eval_threads, eval_chunk):
         spec, params, head_params, ds = multi_chunk_case(cell, head)
+        eval_chunk(1000)
         results = {}
         for k in (1, 2, 3):
             force_eval_threads(k)
             spy = ThreadSpy(ds, k)
-            results[k] = evaluate(spec, params, head_params, spy, chunk=1000)
+            results[k] = evaluate(spec, params, head_params, spy)
             assert len(spy.threads) == k  # the caller plus k-1 helpers each scored a chunk
         assert results[2] == results[1] and results[3] == results[1]
 
-    def test_scoring_leaves_parameters_untouched(self, force_eval_threads):
+    def test_scoring_leaves_parameters_untouched(self, force_eval_threads, eval_chunk):
         # the LSTM negates its i|f|o rows for its GEMM; that must happen on a copy, since
         # concurrent evaluation threads read the same parameter vector
         spec, params, head, ds = multi_chunk_case("lstm", "regression")
@@ -405,28 +416,30 @@ class TestEvaluate:
         forward(spec, params, head, batch)
         score(spec, params, head, batch)
         force_eval_threads(2)
+        eval_chunk(1000)
         spy = ThreadSpy(ds, 2)
-        evaluate(spec, params, head, spy, chunk=1000)
+        evaluate(spec, params, head, spy)
         assert len(spy.threads) == 2
         assert theta.tobytes() == before
 
-    def test_more_threads_than_cores_under_fast_switching(self, force_eval_threads):
+    def test_more_threads_than_cores_under_fast_switching(self, force_eval_threads, eval_chunk):
         # 8 threads share 250 chunk slots while the interpreter switches every microsecond;
         # a lost or misplaced chunk result would change the sum
         spec, params, head, ds = multi_chunk_case("rnn", "regression")
         force_eval_threads(1)
-        serial = evaluate(spec, params, head, ds, chunk=10)
+        eval_chunk(10)
+        serial = evaluate(spec, params, head, ds)
         force_eval_threads(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = evaluate(spec, params, head, ds, chunk=10)
+            threaded = evaluate(spec, params, head, ds)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_divergence_names_lowest_failing_chunk(self, threads, force_eval_threads):
+    def test_divergence_names_lowest_failing_chunk(self, threads, force_eval_threads, eval_chunk):
         # chunk 1 fails at step 5, chunk 2 at step 3; chunk 1 is delayed, so with 2 or 3
         # threads chunk 2 fails first on another thread, but the serial loop stops at
         # chunk 1, so step 5 is reported
@@ -435,32 +448,35 @@ class TestEvaluate:
         ds.signal[2100, 3] = np.nan
         params, head = init_params(ADDING_SPEC, make_rng(43))
         force_eval_threads(threads)
+        eval_chunk(1000)
         with pytest.raises(DivergenceError, match=r"at step 5$"):
-            evaluate(ADDING_SPEC, params, head, SlowChunk(ds, 1500), chunk=1000)
+            evaluate(ADDING_SPEC, params, head, SlowChunk(ds, 1500))
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_no_chunk_handed_out_after_failure(self, threads, force_eval_threads):
+    def test_no_chunk_handed_out_after_failure(self, threads, force_eval_threads, eval_chunk):
         # chunk 0 fails at once while the other threads score their first chunk; none of
         # the chunks after it can be summed, so no thread may take another one
         ds = gen_adding(8, 10_000, make_rng(44))
         ds.signal[0, 1] = np.nan
         params, head = init_params(ADDING_SPEC, make_rng(45))
         force_eval_threads(threads)
+        eval_chunk(1000)
         log = ChunkLog(ds, threads)
         with pytest.raises(DivergenceError, match=r"at step 1$"):
-            evaluate(ADDING_SPEC, params, head, log, chunk=1000)
+            evaluate(ADDING_SPEC, params, head, log)
         assert sorted(log.taken) == [1000 * i for i in range(threads)]
 
-    def test_helper_threads_are_joined(self, force_eval_threads):
+    def test_helper_threads_are_joined(self, force_eval_threads, eval_chunk):
         # grid_search forks after evaluate has run, so no helper may outlive it
         spec, params, head, ds = multi_chunk_case("rnn", "regression")
         force_eval_threads(3)
+        eval_chunk(1000)
         before = threading.active_count()
-        evaluate(spec, params, head, ds, chunk=1000)
+        evaluate(spec, params, head, ds)
         assert threading.active_count() == before
         ds.signal[1500, 5] = np.nan
         with pytest.raises(DivergenceError):
-            evaluate(spec, params, head, ds, chunk=1000)
+            evaluate(spec, params, head, ds)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
@@ -540,15 +556,16 @@ class TestBlasPin:
         assert get() == 2
 
     @pytest.mark.parametrize("diverges", [False, True])
-    def test_evaluate_runs_on_one_thread_and_restores_count(self, diverges, blas, tiny_adding):
+    def test_evaluate_runs_on_one_thread_and_restores_count(self, diverges, blas, tiny_adding, eval_chunk):
         get, _ = blas
         _, test_ds = tiny_adding
         if diverges:
             test_ds.signal[40, 3] = np.nan
         params, head = init_params(ADDING_SPEC, make_rng(3))
         log = CountLog(test_ds, get)
+        eval_chunk(32)
         with pytest.raises(DivergenceError) if diverges else contextlib.nullcontext():
-            evaluate(ADDING_SPEC, params, head, log, chunk=32)
+            evaluate(ADDING_SPEC, params, head, log)
         assert log.counts and set(log.counts) == {1}
         assert get() == 2
 

@@ -186,7 +186,7 @@ class TestAddingFiles:
 
 
 class TestAddingMaskValues:
-    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("example", [0, 517])  # in the first streamed block and in a later one
     def test_mask_value_other_than_0_or_1_rejected(self, value, example, tmp_path):
         path = tmp_path / "data.addp"
