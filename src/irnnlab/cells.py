@@ -51,7 +51,6 @@ through the incoming delta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -179,21 +178,9 @@ def _check_finite(states: list[np.ndarray], first_step: int = 0) -> None:
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
-def _arrays(dtype, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Uninitialised arrays of ``dtype`` carved from one allocation.
-
-    malloc reuses one large block from call to call, whereas several large
-    blocks freed together go back to the OS and are page-faulted in again.
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.empty(sum(sizes), dtype)
-    offsets = np.cumsum([0] + sizes)
-    return [flat[o : o + n].reshape(shape) for o, n, shape in zip(offsets, sizes, shapes)]
-
-
 def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
-    """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``) in the operand's dtype;
-    returns (arrays, s slots, z slots).
+    """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``), one ``np.empty`` each
+    in the operand's dtype; returns (arrays, s slots, z slots).
 
     A tape gets the input rows of all steps in one copy; scratch slots get them step by step.
     Either copy casts the inputs to the slots' dtype.
@@ -206,7 +193,7 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     shapes = [(ns, h + p.input_dim + 1, b)]
     if isinstance(p, LstmParams):
         shapes += [(nz, 4 * h, b), (ns, h, b), (nz, h, b)]
-    arrays = _arrays(p.a.dtype, *shapes)
+    arrays = [np.empty(shape, p.a.dtype) for shape in shapes]
     arrays[0][0, :h] = 0.0
     arrays[0][:, h + p.input_dim] = 1.0
     if keep:

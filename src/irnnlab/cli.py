@@ -104,9 +104,7 @@ def _build_parser() -> _Parser:
     _add_model_flags(p, train=False)
     p.add_argument("--lrs", default=",".join(f"{v:g}" for v in harness.DEFAULT_LRS))
     p.add_argument("--clips", default=",".join(f"{v:g}" for v in harness.DEFAULT_CLIPS))
-    p.add_argument(
-        "--forget-biases", default=",".join(f"{v:g}" for v in harness.DEFAULT_FORGET_BIASES)
-    )
+    p.add_argument("--forget-biases", help="lstm only")
     p.add_argument("--steps-per-cell", type=int, required=True)
     p.add_argument("--eval-every", type=int)
     p.add_argument("--workers", type=int, default=1)
@@ -148,7 +146,7 @@ def _add_model_flags(p, train: bool) -> None:
 
 
 def _check_cell_flags(args) -> None:
-    """Reject the --activation, --init and --forget-bias flags that do not apply to --cell."""
+    """Reject the --activation, --init, --forget-bias and --forget-biases flags that do not apply to --cell."""
     if args.cell == "lstm":
         conflicts = [
             name
@@ -159,11 +157,12 @@ def _check_cell_flags(args) -> None:
             raise UsageError(f"{' and '.join(conflicts)} only apply to --cell rnn")
     elif getattr(args, "forget_bias", None) is not None:  # grid-search has no --forget-bias
         raise UsageError("--forget-bias only applies to --cell lstm")
+    elif getattr(args, "forget_biases", None) is not None:  # train has no --forget-biases
+        raise UsageError("--forget-biases only applies to --cell lstm")
 
 
 def _resolve_model(args) -> ModelSpec:
-    """Validate flag combinations and produce the ModelSpec."""
-    _check_cell_flags(args)
+    """The ModelSpec that the model flags describe, once ``_check_cell_flags`` has passed them."""
     forget_bias = getattr(args, "forget_bias", None)
     activation = args.activation or ModelSpec.activation
     init = parse_scheme(args.init or ("baseline" if args.cell == "lstm" or activation == "tanh" else "identity"))
@@ -241,8 +240,7 @@ def cmd_gen_adding(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # after both sets are drawn, so a rejected size leaves none
     tasks.save_adding(train_ds, out / "train.addp")
     tasks.save_adding(test_ds, out / "test.addp")
-    flags = {"t": args.t, "n_train": args.n_train, "n_test": args.n_test, "seed": args.seed, "out": str(out)}
-    _write_manifest(out, "gen-adding", flags, [out / "train.addp", out / "test.addp"])
+    _write_manifest(out, "gen-adding", _manifest_flags(args), [out / "train.addp", out / "test.addp"])
     print(f"wrote {out / 'train.addp'} ({args.n_train} examples, T={args.t})")
     print(f"wrote {out / 'test.addp'} ({args.n_test} examples, T={args.t})")
     print(f"constant-1 baseline MSE: train {tasks.baseline_mse(train_ds):.6f}, test {tasks.baseline_mse(test_ds):.6f}")
@@ -338,6 +336,7 @@ def cmd_train(args) -> int:
         args.steps = DEFAULT_STEPS[args.task]
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    _check_cell_flags(args)
     spec, cfg, train_ds, test_ds, out_dir = _set_up(args, args.lr, args.clip, args.steps)
 
     with harness.metrics_csv(out_dir / "metrics.csv") as write_row:
@@ -360,6 +359,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    _check_cell_flags(args)
+    if args.forget_biases is None:  # the manifest records the default, also for an rnn grid
+        args.forget_biases = ",".join(f"{v:g}" for v in harness.DEFAULT_FORGET_BIASES)
     grid = harness.GridSpec(
         lrs=tuple(_parse_float_list("--lrs", args.lrs)),
         clips=tuple(_parse_float_list("--clips", args.clips)),

@@ -556,6 +556,18 @@ class TestGridSearchCli:
         assert len(summary) == 2
         assert {(r["lr"], r["gc"]) for r in summary} == {(0.01, 1.0), (0.1, 1.0)}
         assert "best cell" in capsys.readouterr().out
+        # an rnn grid has no forget-bias axis, but its manifest records the list's default
+        assert json.loads((out / "manifest.json").read_text())["flags"]["forget_biases"] == "1,4,10,20"
+
+    def test_forget_biases_rejected_for_rnn_before_data_is_read(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "rnn", "--forget-biases", "5,7",
+                       "--lrs", "0.01", "--clips", "1", "--steps-per-cell", "1",
+                       "--data", str(tmp_path / "missing.addp"), str(tmp_path / "missing.addp"),
+                       "--out-dir", str(out))
+        assert code == 1
+        assert "--forget-biases only applies to --cell lstm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_list_rejected(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files

@@ -2,10 +2,10 @@
 
     python tools/cli_outputs.py --src SRC --out DIR
 
-SRC is a checkout of this repository. The script re-runs itself once in a fresh
-interpreter with SRC's ``src/`` directory as ``PYTHONPATH``, and that interpreter
-runs every command as ``irnnlab.cli.main(args)``, giving the exit code, stdout and
-stderr that ``python -m irnnlab.cli`` would give. Every command runs inside DIR
+SRC is a checkout of this repository. The script puts SRC's ``src/`` directory first
+on ``sys.path`` and runs every command in this one interpreter as
+``irnnlab.cli.main(args)``, giving the exit code, stdout and stderr that
+``python -m irnnlab.cli`` would give. Every command runs inside DIR
 with relative paths, on data the script writes there itself (adding-problem files
 from ``gen-adding`` and small synthetic IDX files), so two trees can be compared with
 
@@ -23,7 +23,6 @@ import contextlib
 import io
 import os
 import struct
-import subprocess
 import sys
 import traceback
 import warnings
@@ -182,11 +181,7 @@ def main(argv=None) -> int:
         p.error(f"{src} holds no src/irnnlab/cli.py")
     if out.exists() and any(out.iterdir()):
         p.error(f"{out} is not empty")
-    pythonpath = str(src.resolve() / "src")
-    if os.environ.get("PYTHONPATH") != pythonpath:  # run once more, importing SRC's irnnlab
-        env = dict(os.environ, PYTHONPATH=pythonpath)
-        return subprocess.run([sys.executable, __file__, "--src", str(src), "--out", str(out)], env=env,
-                              timeout=600).returncode
+    sys.path.insert(0, str(src.resolve() / "src"))  # before the first import of irnnlab, in run()
     (out / "log").mkdir(parents=True, exist_ok=True)
     (out / "mnist").mkdir()
     write_idx_pair(out / "mnist" / "train-images", out / "mnist" / "train-labels", 60, 1)
