@@ -41,12 +41,16 @@ as they are copied into ``s``. Models are float64; ``harness.evaluate`` runs
 the tape-free pass on a float32 copy of A, where any state past float32's
 range is inf and fails the overflow check before ``OVERFLOW_LIMIT`` can.
 
-The backward kernels walk the tape in reverse. Each step takes the
-gradients of all blocks as one GEMM of the (G*H, B) pre-activation delta
-against the step's operand [h_{t-1}; x_t; 1], added in reverse time order
-into the operand of the gradient cell ``out``, whose named blocks are views
-of it. Gradients are summed over lanes (the 1/B of a mean loss arrives
-through the incoming delta).
+The backward kernels walk the tape in reverse and add into the operand of
+the gradient cell ``out``, whose named blocks are views of it. The LSTM takes
+each step's gradients of all blocks as one GEMM of the (4*H, B)
+pre-activation delta against the step's operand [h_{t-1}; x_t; 1]. The RNN
+runs lane-major in reverse blocks of ``BLOCK`` steps: it writes g' of the
+block's states into a (BLOCK, B, H) buffer, makes each step two calls,
+dz_t = dh * g'_t in place and dh = dz_t @ W, and then adds the block's
+gradients as one (H, BLOCK*B) x (BLOCK*B, H+D+1) GEMM against a lane-major
+copy of the block's operands. Gradients are summed over lanes (the 1/B of a
+mean loss arrives through the incoming delta).
 """
 
 from __future__ import annotations
@@ -58,16 +62,21 @@ import numpy as np
 
 from .ndcore import DivergenceError, ShapeError
 
-# activation: (g applied in place to z, g' as a function of the output h = g(z))
+# activation: (g applied in place to z, g' of the output h = g(z) written into ``out``,
+# whether g(z) >= -1 so that the overflow check needs only the maximum)
 _ACTIVATION = {
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: h > 0.0),
-    "tanh": (lambda z: np.tanh(z, out=z), lambda h: 1.0 - h * h),
-    "linear": (lambda z: z, lambda h: 1.0),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h, out: np.greater(h, 0.0, out=out), True),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda h, out: np.subtract(1.0, np.square(h, out=out), out=out), True),
+    "linear": (lambda z: z, lambda h, out: np.copyto(out, 1.0), False),
 }
 ACTIVATIONS = tuple(_ACTIVATION)
 
 # Any hidden or cell state beyond this magnitude aborts the run as diverged.
 OVERFLOW_LIMIT = 1e100
+
+# Reverse steps per weight-gradient GEMM in ``rnn_backward``: 6 steps of 16 lanes keep the
+# (100, 96) x (96, 103) GEMM of the paper's shapes under OpenBLAS's small-matrix bound M*N*K <= 1e6.
+BLOCK = 6
 
 
 @dataclass
@@ -161,20 +170,18 @@ def sigmoid_of_negated(neg_z: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.reciprocal(out, out=out)
 
 
-def _bounded(a: np.ndarray) -> bool:
-    """Whether every entry lies in [-OVERFLOW_LIMIT, OVERFLOW_LIMIT]; NaN fails both comparisons."""
-    return a.max() <= OVERFLOW_LIMIT and a.min() >= -OVERFLOW_LIMIT
-
-
-def _check_finite(states: list[np.ndarray], first_step: int = 0) -> None:
+def _check_finite(states: list[np.ndarray], first_step: int = 0, floored: bool = False) -> None:
     """Name the first step at which a (steps, H, B) state is NaN, inf or beyond OVERFLOW_LIMIT.
 
-    Two reductions per array cover all steps; the steps are scanned only when they fail.
+    Two reductions per array, its maximum and minimum, cover all steps (NaN fails both
+    comparisons); the maximum alone when the states are ``floored``, never below -1. The
+    steps are scanned only when they fail.
     """
-    if all(_bounded(a) for a in states):
+    bounded = lambda a: a.max() <= OVERFLOW_LIMIT and (floored or a.min() >= -OVERFLOW_LIMIT)
+    if all(bounded(a) for a in states):
         return
     for t in range(states[0].shape[0]):
-        if not all(_bounded(a[t]) for a in states):
+        if not all(bounded(a[t]) for a in states):
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
@@ -208,16 +215,16 @@ def rnn_forward(
     returns (h_T as (B, H), tape), the tape None without ``keep``."""
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
     (s,), ns, _ = _start(p, inputs, keep)
-    a, activate = p.a, _ACTIVATION[activation][0]
+    a, (activate, _, floored) = p.a, _ACTIVATION[activation]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(t_steps):
             if not keep:
                 s[t % ns, h : h + d] = inputs[t].T
             ht = activate(np.matmul(a, s[t % ns], out=s[(t + 1) % ns, :h]))
             if not keep:
-                _check_finite([ht[None]], t)
+                _check_finite([ht[None]], t, floored)
     if keep:
-        _check_finite([s[1:, :h]])
+        _check_finite([s[1:, :h]], 0, floored)
     return s[t_steps % ns, :h].T, CellTape(s) if keep else None
 
 
@@ -248,30 +255,32 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
 
 
 def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
-    """Validate the (B, H) deltas at the final state and allocate the reverse pass.
-
-    Returns the contiguous (H, G*H) transposed recurrent weights, the gradient
-    operand ``out.a`` to add into with a same-shaped step buffer, a (G*H, B)
-    buffer for the pre-activation delta, and the deltas feature-major.
-    """
-    h, b, a = p.hidden, tape.s.shape[2], p.a
+    """Validate the (B, H) deltas at the final state; returns the gradient operand ``out.a``
+    to add into and a same-shaped step buffer."""
+    h, b = p.hidden, tape.s.shape[2]
     for delta in deltas:
         if delta.shape != (b, h):
             raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
-    wt = np.ascontiguousarray(a[:, :h].T)
-    return wt, out.a, np.empty_like(a), np.empty((a.shape[0], b)), [np.ascontiguousarray(d.T) for d in deltas]
+    return out.a, np.empty_like(p.a)
 
 
 def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, out: RnnParams) -> np.ndarray:
     """Reverse the pass that ``rnn_forward`` taped under ``activation`` from the (B, H) delta at h_T,
     adding the gradients into the cell ``out``; returns dh_0 as (B, H)."""
-    h, derivative = p.hidden, _ACTIVATION[activation][1]
-    wt, grad, step, dz, (dh,) = _reverse_start(p, tape, out, dh)
-    for t in reversed(range(len(tape.s) - 1)):
-        np.multiply(dh, derivative(tape.s[t + 1, :h]), out=dz)
-        dh = wt @ dz
-        grad += np.matmul(dz, tape.s[t].T, out=step)
-    return dh.T
+    h, s, derivative = p.hidden, tape.s, _ACTIVATION[activation][1]
+    grad, step = _reverse_start(p, tape, out, dh)
+    dh, w = np.array(dh, order="C"), p.a[:, :h]  # a copy, since dh is overwritten step by step
+    dz_block = np.empty((BLOCK, *dh.shape))  # g' of a block's states, then its deltas dz_t
+    for end in range(len(s) - 1, 0, -BLOCK):
+        start = max(end - BLOCK, 0)
+        dz = dz_block[: end - start]
+        derivative(s[start + 1 : end + 1, :h].transpose(0, 2, 1), dz)
+        for dzt in dz[::-1]:
+            np.multiply(dh, dzt, out=dzt)
+            np.matmul(dzt, w, out=dh)
+        x = s[start:end].transpose(0, 2, 1).reshape(-1, s.shape[1])  # a lane-major copy
+        grad += np.matmul(dz.reshape(-1, h).T, x, out=step)
+    return dh
 
 
 def lstm_backward(
@@ -283,7 +292,9 @@ def lstm_backward(
     tanh' = 1 - t**2 on the taped activations.
     """
     h = p.hidden
-    wt, grad, step, dz, (dh, dc) = _reverse_start(p, tape, out, dh, dc)
+    grad, step = _reverse_start(p, tape, out, dh, dc)
+    wt, dh, dc = (np.ascontiguousarray(m.T) for m in (p.a[:, :h], dh, dc))
+    dz = np.empty((4 * h, dh.shape[1]))
     dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
     for t in reversed(range(len(tape.s) - 1)):
         gt, tct = tape.z[t], tape.tc[t]

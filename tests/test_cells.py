@@ -368,6 +368,20 @@ class TestFiniteCheck:
         with pytest.raises(DivergenceError, match="at step 3$"):
             self.run(value, keep, "relu")
 
+    # a tanh state lies in [-1, 1], so the check takes its maximum alone: an infinite input
+    # saturates the state and passes, and NaN still fails the one comparison
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_tanh_inf_input_saturates(self, keep, value):
+        _, tape = self.run(value, keep, "tanh")
+        if keep:
+            assert tape.s[4, 0, 0] == np.sign(value)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    def test_tanh_nan_names_step(self, keep):
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            self.run(np.nan, keep, "tanh")
+
 
 class TestSigmoid:
     # sigmoid_of_negated takes -z, as the LSTM kernel's GEMM yields it
