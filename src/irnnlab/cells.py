@@ -40,6 +40,8 @@ The forward arrays take the dtype of the operand A, and the inputs are cast
 as they are copied into ``s``. Models are float64; ``harness.evaluate`` runs
 the tape-free pass on a float32 copy of A, where any state past float32's
 range is inf and fails the overflow check before ``OVERFLOW_LIMIT`` can.
+The check reads h alone, by its maximum where h >= -1 (relu, tanh, LSTM). The
+LSTM's c needs none: |c_t| <= t, and a NaN in c_t is a NaN in h_t = o*tanh(c_t).
 
 The backward kernels walk the tape in reverse and add into the operand of
 the gradient cell ``out``, whose named blocks are views of it. The LSTM takes
@@ -170,18 +172,18 @@ def sigmoid_of_negated(neg_z: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.reciprocal(out, out=out)
 
 
-def _check_finite(states: list[np.ndarray], first_step: int = 0, floored: bool = False) -> None:
-    """Name the first step at which a (steps, H, B) state is NaN, inf or beyond OVERFLOW_LIMIT.
+def _check_finite(states: np.ndarray, first_step: int = 0, floored: bool = False) -> None:
+    """Name the first step at which the (steps, H, B) ``states`` are NaN, inf or beyond OVERFLOW_LIMIT.
 
-    Two reductions per array, its maximum and minimum, cover all steps (NaN fails both
-    comparisons); the maximum alone when the states are ``floored``, never below -1. The
-    steps are scanned only when they fail.
+    Two reductions, the maximum and minimum, cover all steps (NaN fails both comparisons);
+    the maximum alone when the states are ``floored``, never below -1. The steps are
+    scanned only when they fail.
     """
     bounded = lambda a: a.max() <= OVERFLOW_LIMIT and (floored or a.min() >= -OVERFLOW_LIMIT)
-    if all(bounded(a) for a in states):
+    if bounded(states):
         return
-    for t in range(states[0].shape[0]):
-        if not all(bounded(a[t]) for a in states):
+    for t in range(states.shape[0]):
+        if not bounded(states[t]):
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
@@ -222,9 +224,9 @@ def rnn_forward(
                 s[t % ns, h : h + d] = inputs[t].T
             ht = activate(np.matmul(a, s[t % ns], out=s[(t + 1) % ns, :h]))
             if not keep:
-                _check_finite([ht[None]], t, floored)
+                _check_finite(ht[None], t, floored)
     if keep:
-        _check_finite([s[1:, :h]], 0, floored)
+        _check_finite(s[1:, :h], 0, floored)
     return s[t_steps % ns, :h].T, CellTape(s) if keep else None
 
 
@@ -248,9 +250,9 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
             np.tanh(ct, out=tct)
             ht = np.multiply(o, tct, out=s[(t + 1) % ns, :h])
             if not keep:
-                _check_finite([ht[None], ct[None]], t)
+                _check_finite(ht[None], t, floored=True)
     if keep:
-        _check_finite([s[1:, :h], c[1:]])
+        _check_finite(s[1:, :h], floored=True)
     return s[t_steps % ns, :h].T, CellTape(s, gates, c, tc) if keep else None
 
 

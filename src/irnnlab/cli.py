@@ -154,7 +154,7 @@ def _check_cell_flags(args) -> None:
             if value is not None
         ]
         if conflicts:
-            raise UsageError(f"{' and '.join(conflicts)} only apply to --cell rnn")
+            raise UsageError(f"{' and '.join(conflicts)} only {'apply' if len(conflicts) > 1 else 'applies'} to --cell rnn")
     elif getattr(args, "forget_bias", None) is not None:  # grid-search has no --forget-bias
         raise UsageError("--forget-bias only applies to --cell lstm")
     elif getattr(args, "forget_biases", None) is not None:  # train has no --forget-biases

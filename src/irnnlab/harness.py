@@ -244,7 +244,7 @@ def _sgd_update(spec: ModelSpec, cfg: TrainConfig, params: CellParams, head: Hea
     next update's forward pass never allocates while this one's tape is alive."""
     loss, _, tape = forward(spec, params, head, batch)
     grads = backward(params, head, tape)
-    norm = clip_gradients(grads.vector, grads.blocks.values(), cfg.clip)
+    norm = clip_gradients(grads.vector, cfg.clip)
     sgd_step(theta, grads.vector, cfg.lr)
     return loss, norm
 

@@ -1,5 +1,4 @@
-"""Seeded randomness, the global L2 norm, the package's error types, the payload reader,
-and the atomic writer.
+"""Seeded randomness, the package's error types, the payload reader, and the atomic writer.
 
 Randomness comes from a PCG64 generator so that equal seeds give equal
 streams within one installation (bitwise reproducibility across library
@@ -41,16 +40,6 @@ class DataFormatError(ValueError):
 def make_rng(seed: int) -> Rng:
     """Deterministic 64-bit generator from an integer seed."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def l2_norm(arrays) -> float:
-    """Euclidean norm of all elements across every array in the collection."""
-    total = 0.0
-    with np.errstate(over="ignore"):  # an overflowing sum is reported as an infinite norm
-        for a in arrays:
-            flat = np.asarray(a, dtype=np.float64).ravel()
-            total += float(np.dot(flat, flat))
-    return math.sqrt(total)
 
 
 def check_size(path, size: int, expected: int) -> None:

@@ -218,8 +218,6 @@ def init_params(spec: ModelSpec, rng: Rng) -> tuple[CellParams, HeadParams]:
         scales.update(W=1.0 / np.sqrt(h), V=1.0 / np.sqrt(spec.input_dim), b=None)
     elif kind != "baseline":
         scales["W"] = value if kind == "gauss" else None  # identity and iscale are set below
-    if spec.input_init_std == 0:
-        scales["c"] = None
     for name, scale in scales.items():
         blocks[name][...] = 0.0 if scale is None else rng.normal(0.0, scale, size=blocks[name].shape)
     if kind in ("identity", "iscale"):

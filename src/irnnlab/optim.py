@@ -1,19 +1,18 @@
 """Fixed-learning-rate SGD with global-norm gradient clipping.
 
 Both act on a model's whole vector (``network``). Clipping rescales the
-gradient (all parameter blocks jointly) so its L2 norm does not exceed the
-threshold, never clamping elementwise. No momentum, weight decay, or schedule.
+gradient vector so its own L2 norm does not exceed the threshold, never
+clamping elementwise. No momentum, weight decay, or schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .ndcore import DivergenceError, ShapeError, l2_norm
+from .ndcore import DivergenceError, ShapeError
 
 # Clip triggers only above gc * (1 + _CLIP_SLACK) so that re-clipping an
 # already-clipped gradient is exactly a no-op despite rounding in the rescale.
@@ -46,16 +45,14 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def clip_gradients(grads: np.ndarray, blocks: Iterable[np.ndarray], gc: float) -> float:
+def clip_gradients(grads: np.ndarray, gc: float) -> float:
     """Rescale the gradient vector in place so its global L2 norm is at most gc; returns the
-    norm before clipping, so it can be logged.
-
-    The norm is summed block by block over ``blocks``, views that tile ``grads``, in their order.
-    """
+    norm before clipping, so it can be logged."""
     if not gc > 0:
         raise ValueError(f"clip threshold must be > 0, got {gc}")
-    norm = l2_norm(blocks)
-    if not np.isfinite(norm):
+    with np.errstate(over="ignore"):  # an overflowing sum is reported as an infinite norm
+        norm = math.sqrt(float(np.dot(grads, grads)))
+    if not math.isfinite(norm):
         raise DivergenceError("non-finite gradient entries")
     if norm > gc * (1.0 + _CLIP_SLACK):
         grads *= gc / norm

@@ -382,6 +382,24 @@ class TestFiniteCheck:
         with pytest.raises(DivergenceError, match="at step 3$"):
             self.run(np.nan, keep, "tanh")
 
+    # the LSTM check reads h alone: |c_t| <= t, and a NaN in c_t is a NaN in h_t
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    def test_lstm_nan_in_the_o_gate_alone_names_step(self, keep):
+        # 2e308 - 2e308 is NaN in the o gate only; the other gates read the input times 0
+        p = zero_lstm(1, d=2)
+        p.Vo[...] = 2.0
+        inputs = np.zeros((6, 1, 2))
+        inputs[3] = [1e308, -1e308]
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            lstm_forward(p, inputs, keep=keep)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])
+    def test_lstm_nan_input_names_step(self, keep):
+        inputs = np.zeros((6, 1, 1))
+        inputs[3] = np.nan
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            lstm_forward(zero_lstm(1), inputs, keep=keep)
+
 
 class TestSigmoid:
     # sigmoid_of_negated takes -z, as the LSTM kernel's GEMM yields it

@@ -222,7 +222,16 @@ class TestTrain:
                        "--data", str(train_file), str(test_file),
                        "--out-dir", str(tmp_path / "x"))
         assert code == 1
-        assert "--init" in capsys.readouterr().err
+        assert "error: --init only applies to --cell rnn\n" in capsys.readouterr().err
+
+    def test_activation_and_init_conflict_with_lstm(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        code = run_cli("train", "--task", "adding", "--cell", "lstm", "--activation", "relu", "--init", "identity",
+                       "--lr", "0.1", "--clip", "1", "--steps", "1",
+                       "--data", str(train_file), str(test_file),
+                       "--out-dir", str(tmp_path / "x"))
+        assert code == 1
+        assert "error: --activation and --init only apply to --cell rnn\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_1_exits_1_before_writing(self, adding_files, tmp_path, capsys, steps):
@@ -648,7 +657,7 @@ class TestGradcheckCli:
     def test_activation_rejected_for_lstm(self, capsys):
         assert run_cli("gradcheck", "--cell", "lstm", "--activation", "linear", "--trials", "1") == 1
         captured = capsys.readouterr()
-        assert "--activation only apply to --cell rnn" in captured.err
+        assert "--activation only applies to --cell rnn" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -7,6 +7,9 @@ any other the test skips and names both. A change that moves output bits on purp
 re-records the file (and says why):
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints each file whose digest changed, is new or is gone against the file it
+replaces, then their count.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ def test_cli_outputs_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = dict(reversed(line.split("  ", 1)) for line in GOLDEN.read_text(encoding="ascii").splitlines()
+               if not line.startswith("# "))
     with tempfile.TemporaryDirectory() as tmp:
         digests = capture_digests(Path(tmp) / "out")
     GOLDEN.write_text("".join(f"{line}\n" for line in platform_lines())
                       + "".join(f"{digest}  {name}\n" for name, digest in digests.items()), encoding="ascii")
-    print(f"wrote {GOLDEN} ({len(digests)} digests)")
+    moved = sorted(name for name in old.keys() | digests.keys() if old.get(name) != digests.get(name))
+    for name in moved:
+        print(f"{'new' if name not in old else 'gone' if name not in digests else 'changed'}  {name}")
+    print(f"wrote {GOLDEN} ({len(digests)} digests, {len(moved)} moved)")

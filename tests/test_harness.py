@@ -17,6 +17,7 @@ from irnnlab import (
     ModelSpec,
     RnnParams,
     TrainConfig,
+    backward,
     baseline_mse,
     evaluate,
     forward,
@@ -618,6 +619,17 @@ class TestTrain:
         assert all(seen is kept for seen, kept in zip(rows, a.history))
         for name, block in param_blocks(a.params, a.head).items():
             assert np.array_equal(block, param_blocks(b.params, b.head)[name])
+
+    def test_grad_norm_is_the_norm_of_the_gradient_vector(self, tiny_adding):
+        # at seed 0 the norm summed block by block in block order differs from it in the last bit
+        train_ds, test_ds = tiny_adding
+        cfg = TrainConfig(lr=0.1, clip=1.0, max_steps=1, seed=0)
+        rng = make_rng(cfg.seed)
+        params, head = init_params(ADDING_SPEC, rng)
+        batch = train_ds.batch(rng.permutation(len(train_ds))[: cfg.batch_size])
+        g = backward(params, head, forward(ADDING_SPEC, params, head, batch)[2]).vector
+        (row,) = train(ADDING_SPEC, cfg, train_ds, test_ds).history
+        assert row.grad_norm == math.sqrt(float(np.dot(g, g)))
 
     def test_metrics_csv_layout(self, tiny_adding, tmp_path):
         train_ds, test_ds = tiny_adding

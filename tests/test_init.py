@@ -89,6 +89,18 @@ class TestInitInputAndBias:
         assert np.array_equal(v, np.zeros((5, 3)))
         assert np.array_equal(b, np.zeros(5))
 
+    def test_zero_std_draws_like_any_other_std(self):
+        # every block at the input scale is drawn, N(0, 0) as +0.0, so the stream advances alike
+        rngs = []
+        for std in (0.0, 0.001):
+            spec = ModelSpec(cell="rnn", hidden=5, input_dim=3, head="regression",
+                             init=InitScheme("identity"), input_init_std=std)
+            rngs.append(make_rng(0))
+            params, head = init_params(spec, rngs[-1])
+            if std == 0:
+                assert not np.any(head.U) and not np.any(head.c)
+        assert rngs[0].random() == rngs[1].random()
+
     def test_six_sigma_bound(self):
         _, v, b = rnn_draw(11, 100, 2, InitScheme("identity"))
         assert v.size == 200

@@ -7,83 +7,99 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irnnlab import DivergenceError, TrainConfig, clip_gradients, make_rng, sgd_step
-from irnnlab.ndcore import l2_norm
 
 
-def random_blocks(seed, scale=1.0):
-    """A random vector and its views named and shaped like W (4, 4), b (4,) and U (1, 4)."""
-    rng = make_rng(seed)
-    flat = np.empty(24)
-    blocks = {"W": flat[:16].reshape(4, 4), "b": flat[16:20], "U": flat[20:].reshape(1, 4)}
-    for block in blocks.values():
-        block[...] = rng.normal(0, scale, block.shape)
-    return flat, blocks
+def random_vector(seed, scale=1.0):
+    """A random parameter or gradient vector of 24 entries."""
+    return make_rng(seed).normal(0, scale, 24)
+
+
+class TestClipNorm:
+    # the norm clip_gradients returns, under a threshold that leaves the vector as it is
+    def test_three_four_five(self):
+        assert clip_gradients(np.array([3.0, 4.0]), 10.0) == 5.0
+
+    def test_empty(self):
+        assert clip_gradients(np.empty(0), 1.0) == 0.0
+
+    def test_two_unit_vectors(self):
+        got = clip_gradients(np.array([1.0, 0.0, 0.0, 1.0]), 10.0)
+        assert got == pytest.approx(math.sqrt(2), rel=1e-15)
+
+    @given(
+        c=st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_property(self, c, seed):
+        # |c| kept in a range where the squared elements neither under- nor overflow
+        v = make_rng(seed).normal(size=13)
+        norm = lambda x: clip_gradients(x, math.inf)
+        assert norm(v * c) == pytest.approx(abs(c) * norm(v), rel=1e-12, abs=0.0)
 
 
 class TestClipGradients:
     def test_below_threshold_unchanged(self):
         v = np.array([3.0, 4.0])  # norm 5
         before = v.copy()
-        norm = clip_gradients(v, [v], 10.0)
+        norm = clip_gradients(v, 10.0)
         assert norm == 5.0
         assert np.array_equal(v, before)
 
     def test_analytic_rescale(self):
         v = np.array([6.0, 8.0])  # norm 10
-        norm = clip_gradients(v, [v], 5.0)
+        norm = clip_gradients(v, 5.0)
         assert norm == 10.0
         np.testing.assert_allclose(v, [3.0, 4.0], rtol=1e-15)
 
     @given(seed=st.integers(0, 200), gc=st.sampled_from([0.5, 1.0, 10.0, 100.0]))
     @settings(max_examples=50, deadline=None)
     def test_post_clip_norm_is_min_of_norm_and_threshold(self, seed, gc):
-        flat, g = random_blocks(seed, scale=3.0)
-        before = clip_gradients(flat, g.values(), gc)
-        after = l2_norm(g.values())
+        flat = random_vector(seed, scale=3.0)
+        before = clip_gradients(flat, gc)
+        after = np.linalg.norm(flat)
         assert after == pytest.approx(min(before, gc), rel=1e-12)
 
     def test_direction_preserved(self):
-        flat, g = random_blocks(7, scale=5.0)
-        flat_before = np.concatenate([b.ravel() for b in g.values()])
-        clip_gradients(flat, g.values(), 1.0)
-        flat_after = np.concatenate([b.ravel() for b in g.values()])
-        cos = flat_before @ flat_after / (np.linalg.norm(flat_before) * np.linalg.norm(flat_after))
+        flat = random_vector(7, scale=5.0)
+        before = flat.copy()
+        clip_gradients(flat, 1.0)
+        cos = before @ flat / (np.linalg.norm(before) * np.linalg.norm(flat))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=50, deadline=None)
     def test_idempotent_exactly(self, seed):
-        flat, g = random_blocks(seed, scale=4.0)
-        clip_gradients(flat, g.values(), 2.0)
-        once = {k: v.copy() for k, v in g.items()}
-        clip_gradients(flat, g.values(), 2.0)
-        for k in g:
-            assert np.array_equal(g[k], once[k])
+        flat = random_vector(seed, scale=4.0)
+        clip_gradients(flat, 2.0)
+        once = flat.copy()
+        clip_gradients(flat, 2.0)
+        assert np.array_equal(flat, once)
 
     def test_non_finite_reports_divergence(self):
         v = np.array([1.0, np.nan])
         with pytest.raises(DivergenceError):
-            clip_gradients(v, [v], 1.0)
+            clip_gradients(v, 1.0)
 
     def test_overflowing_norm_reports_divergence_without_warning(self):
-        flat = np.concatenate([np.full(9, 1e200), np.ones(3)])
-        g = {"W": flat[:9].reshape(3, 3), "b": flat[9:]}
+        flat = np.concatenate([np.full(9, 1e200), np.ones(3)])  # a norm of 3e200 whose square overflows
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(flat) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert l2_norm(g.values()) == math.inf
             with pytest.raises(DivergenceError):
-                clip_gradients(flat, g.values(), 1.0)
+                clip_gradients(flat, 1.0)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            clip_gradients(np.ones(2), [np.ones(2)], 0.0)
+            clip_gradients(np.ones(2), 0.0)
 
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
-        p, _ = random_blocks(1)
+        p = random_vector(1)
         before = p.copy()
-        sgd_step(p, random_blocks(2)[0], 0.0)
+        sgd_step(p, random_vector(2), 0.0)
         assert np.array_equal(p, before)
 
     def test_single_coordinate_value(self):
@@ -92,17 +108,17 @@ class TestSgdStep:
         assert p[0] == pytest.approx(0.995, abs=1e-15)
 
     def test_zero_gradients_identity(self):
-        p, _ = random_blocks(3)
+        p = random_vector(3)
         before = p.copy()
         sgd_step(p, np.zeros_like(p), 0.1)
         assert np.array_equal(p, before)
 
     def test_two_runs_bitwise_identical(self):
-        (p1, _), (p2, _) = random_blocks(4), random_blocks(4)
+        p1, p2 = random_vector(4), random_vector(4)
         for step in range(25):
-            g, _ = random_blocks(100 + step)
+            g = random_vector(100 + step)
             sgd_step(p1, g, 0.01)
-            g, _ = random_blocks(100 + step)
+            g = random_vector(100 + step)
             sgd_step(p2, g, 0.01)
         assert np.array_equal(p1, p2)
 
