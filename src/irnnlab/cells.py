@@ -176,10 +176,11 @@ def _check_finite(states: np.ndarray, first_step: int = 0, floored: bool = False
     """Name the first step at which the (steps, H, B) ``states`` are NaN, inf or beyond OVERFLOW_LIMIT.
 
     Two reductions, the maximum and minimum, cover all steps (NaN fails both comparisons);
-    the maximum alone when the states are ``floored``, never below -1. The steps are
-    scanned only when they fail.
+    the maximum alone when the states are ``floored``, never below -1. They compare as Python
+    floats, since numpy compares a float32 one in float32, where OVERFLOW_LIMIT is inf. The
+    steps are scanned only when they fail.
     """
-    bounded = lambda a: a.max() <= OVERFLOW_LIMIT and (floored or a.min() >= -OVERFLOW_LIMIT)
+    bounded = lambda a: float(a.max()) <= OVERFLOW_LIMIT and (floored or float(a.min()) >= -OVERFLOW_LIMIT)
     if bounded(states):
         return
     for t in range(states.shape[0]):
@@ -256,13 +257,12 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
     return s[t_steps % ns, :h].T, CellTape(s, gates, c, tc) if keep else None
 
 
-def _reverse_start(p, tape: CellTape, out, *deltas: np.ndarray):
-    """Validate the (B, H) deltas at the final state; returns the gradient operand ``out.a``
+def _reverse_start(p, tape: CellTape, out, delta: np.ndarray):
+    """Validate the (B, H) delta at the final state; returns the gradient operand ``out.a``
     to add into and a same-shaped step buffer."""
     h, b = p.hidden, tape.s.shape[2]
-    for delta in deltas:
-        if delta.shape != (b, h):
-            raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
+    if delta.shape != (b, h):
+        raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
     return out.a, np.empty_like(p.a)
 
 
@@ -285,17 +285,16 @@ def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, 
     return dh
 
 
-def lstm_backward(
-    p: LstmParams, tape: CellTape, dh: np.ndarray, dc: np.ndarray, out: LstmParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse the taped pass from (B, H) deltas at h_T and c_T, adding the gradients into the cell ``out``.
+def lstm_backward(p: LstmParams, tape: CellTape, dh: np.ndarray, out: LstmParams) -> np.ndarray:
+    """Reverse the taped pass from the (B, H) delta at h_T, adding the gradients into the cell ``out``;
+    returns dh_0 as (B, H).
 
-    Returns (dh_0, dc_0). Gate derivatives use sigma' = s(1-s) and
-    tanh' = 1 - t**2 on the taped activations.
+    The loss reads h_T alone, so the cell delta starts at zero. Gate derivatives
+    use sigma' = s(1-s) and tanh' = 1 - t**2 on the taped activations.
     """
     h = p.hidden
-    grad, step = _reverse_start(p, tape, out, dh, dc)
-    wt, dh, dc = (np.ascontiguousarray(m.T) for m in (p.a[:, :h], dh, dc))
+    grad, step = _reverse_start(p, tape, out, dh)
+    wt, dh, dc = np.ascontiguousarray(p.a[:, :h].T), np.ascontiguousarray(dh.T), 0.0
     dz = np.empty((4 * h, dh.shape[1]))
     dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
     for t in reversed(range(len(tape.s) - 1)):
@@ -310,4 +309,4 @@ def lstm_backward(
         dc = dc_total * f
         dh = wt @ dz
         grad += np.matmul(dz, tape.s[t].T, out=step)
-    return dh.T, dc.T
+    return dh.T

@@ -106,8 +106,8 @@ class TrainResult:
     params: CellParams
     head: HeadParams
     history: list[MetricsRow]
-    diverged: bool = False
-    diverged_at: int | None = None
+    diverged_at: int | None = None  # the update at which the run diverged
+    diverged = property(lambda self: self.diverged_at is not None)
 
 
 @dataclass(frozen=True)
@@ -181,41 +181,40 @@ def evaluate(spec: ModelSpec, params: CellParams, head: HeadParams, test_ds) -> 
     """Mean loss over the full test set plus the task metric (RMSE or accuracy).
 
     Chunks of ``EVAL_CHUNK`` sequences bound the (T, B, D) input block built at
-    a time and are the unit of work of the ``eval_threads()`` threads; their
-    results are summed in chunk order (see the module docstring). Each
-    chunk runs ``network.score``, which checks targets as ``forward`` does,
-    so a label the head cannot score raises. The cell runs on a float32 copy
-    of its operand, made once per call, and a chunk whose float32 pass
-    raises ``DivergenceError`` is scored again in float64 (see the module
-    docstring).
+    a time and are the unit of work of the ``eval_threads()`` threads, which
+    take them from one iterator that a failing chunk empties; results are
+    summed in chunk order (see the module docstring). Each chunk runs
+    ``network.score``, which checks targets as ``forward`` does, so a label
+    the head cannot score raises. The cell runs on a float32 copy of its
+    operand, made once per call, and a chunk whose float32 pass raises
+    ``DivergenceError`` is scored again in float64.
     """
     n = len(test_ds)
-    params32 = type(params)(params.a.astype(np.float32))  # read-only, shared by the threads
+    with np.errstate(over="ignore"):  # a block past float32's range casts to inf; float64 decides
+        params32 = type(params)(params.a.astype(np.float32))  # read-only, shared by the threads
     starts = range(0, n, EVAL_CHUNK)
     scores: list = [None] * len(starts)  # (loss * lanes, hits) or the chunk's exception
-    unscored = iter(range(len(starts)))
+    unscored = iter(range(len(starts)))  # read and replaced under ``take``
     take = threading.Lock()
-    failed = False  # set under ``take``: chunks after a failure are never summed, so none is handed out
-
-    def score_chunk(batch):
-        try:
-            return score(spec, params32, head, batch)
-        except DivergenceError:  # float64 decides: its range reaches OVERFLOW_LIMIT
-            return score(spec, params, head, batch)
 
     def score_chunks() -> None:
-        nonlocal failed
+        nonlocal unscored
         while True:
             with take:
-                i = None if failed else next(unscored, None)
+                i = next(unscored, None)
             if i is None:
                 return
             try:
-                scores[i] = score_chunk(test_ds.batch(np.arange(starts[i], min(starts[i] + EVAL_CHUNK, n))))
+                batch = test_ds.batch(np.arange(starts[i], min(starts[i] + EVAL_CHUNK, n)))
+                try:
+                    scores[i] = score(spec, params32, head, batch)
+                except DivergenceError:  # float64 decides: its range reaches OVERFLOW_LIMIT
+                    scores[i] = score(spec, params, head, batch)
+                del batch  # before the next chunk's is built, so a thread holds one chunk's inputs
             except Exception as exc:  # raised in chunk order below
                 scores[i] = exc
                 with take:
-                    failed = True
+                    unscored = iter(())
                 return
 
     helpers = [threading.Thread(target=score_chunks) for _ in range(1, min(eval_threads(), len(starts)))]
@@ -299,7 +298,6 @@ def train(
                 continue
             test_loss, metric = evaluate(spec, params, head, test_ds)
         except DivergenceError:
-            result.diverged = True
             result.diverged_at = step
             break
         row = MetricsRow(

@@ -299,7 +299,7 @@ def backward(params: CellParams, head: HeadParams, tape: Tape) -> Gradients:
     if spec.cell == "rnn":
         dh = rnn_backward(params, spec.activation, tape.cell, dh, grad)
     else:
-        dh, _ = lstm_backward(params, tape.cell, dh, np.zeros_like(dh), grad)
+        dh = lstm_backward(params, tape.cell, dh, grad)
     np.matmul(dlogits.T, tape.h_last, out=grad_head.U)
     np.sum(dlogits, axis=0, out=grad_head.c)
     return Gradients(vector=g, blocks=param_blocks(grad, grad_head), dh0=dh)

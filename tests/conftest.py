@@ -34,7 +34,7 @@ def peak_traced_bytes(fn):
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    """images: (N, side, side) uint8."""
+    """images: (N, rows, cols) uint8."""
     n, rows, cols = images.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))

@@ -35,10 +35,10 @@ def rnn_grads(p, activation, tape, dh):
     return rnn_backward(p, activation, tape, dh, out), out.blocks()
 
 
-def lstm_grads(p, tape, dh, dc):
-    """dh_0, dc_0 and the named gradient blocks from the LSTM backward kernel."""
+def lstm_grads(p, tape, dh):
+    """dh_0 and the named gradient blocks from the LSTM backward kernel."""
     out = replace(p, a=np.zeros_like(p.a))
-    return (*lstm_backward(p, tape, dh, dc, out), out.blocks())
+    return lstm_backward(p, tape, dh, out), out.blocks()
 
 
 def seq(*steps):
@@ -54,13 +54,6 @@ def hidden_states(tape, h):
 def cell_states(tape):
     """c_0 .. c_{T-1} from an LSTM tape, as (T, B, H)."""
     return tape.c[1:].transpose(0, 2, 1)
-
-
-def gate(tape, name, t):
-    """Activation of gate i/f/o/g at step t, as (B, H)."""
-    h = tape.z.shape[1] // 4
-    k = "ifog".index(name)
-    return tape.z[t, k * h : (k + 1) * h].T
 
 
 def random_lstm(rng, h, d, scale=1.0):
@@ -256,18 +249,9 @@ class TestLstmBackstep:
         rng = make_rng(4)
         p = random_lstm(rng, 3, 2)
         _, tape = lstm_forward(p, rng.normal(size=(3, 1, 2)))
-        dh0, dc0, grads = lstm_grads(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
-        assert not np.any(dh0) and not np.any(dc0)
+        dh0, grads = lstm_grads(p, tape, np.zeros((1, 3)))
+        assert not np.any(dh0)
         assert all(not np.any(g) for g in grads.values())
-
-    def test_saturated_forget_gate_passes_cell_delta(self):
-        p = zero_lstm(1, forget_bias=20.0)
-        _, tape = lstm_forward(p, seq([0.0]))
-        dc = np.array([[1.0]])
-        _, dc0, _ = lstm_grads(p, tape, np.zeros((1, 1)), dc)
-        # d c_prev = f * dc exactly (one multiply)
-        assert np.array_equal(dc0, gate(tape, "f", 0) * dc)
-        assert dc0[0, 0] > 1 - 3e-9
 
     def test_finite_difference_oracle_single_step(self):
         # smooth everywhere, so central differences agree tightly; three steps
@@ -276,15 +260,14 @@ class TestLstmBackstep:
         h_dim, d = 3, 2
         p = random_lstm(rng, h_dim, d, scale=0.5)
         x = rng.normal(size=(3, 1, d))
-        wh = rng.normal(size=h_dim)  # random linear functional of (h_T, c_T) as the scalar loss
-        wc = rng.normal(size=h_dim)
+        wh = rng.normal(size=h_dim)  # random linear functional of h_T as the scalar loss
 
         def loss():
-            h, tape = lstm_forward(p, x)
-            return float(wh @ h[0] + wc @ tape.c[-1][:, 0])
+            h, _ = lstm_forward(p, x)
+            return float(wh @ h[0])
 
         _, tape = lstm_forward(p, x)
-        _, _, grads = lstm_grads(p, tape, wh[None, :], wc[None, :])
+        _, grads = lstm_grads(p, tape, wh[None, :])
         eps = 1e-5
         for name, block in p.blocks().items():
             for i in range(block.size):
@@ -303,7 +286,7 @@ class TestLstmBackstep:
         p = zero_lstm(2)
         _, tape = lstm_forward(p, seq([0.0]))
         with pytest.raises(ShapeError):
-            lstm_grads(p, tape, np.zeros((1, 3)), np.zeros((1, 2)))
+            lstm_grads(p, tape, np.zeros((1, 3)))
 
 
 class TestTapeFreeMemory:
@@ -381,6 +364,17 @@ class TestFiniteCheck:
     def test_tanh_nan_names_step(self, keep):
         with pytest.raises(DivergenceError, match="at step 3$"):
             self.run(np.nan, keep, "tanh")
+
+    # float32 cannot hold OVERFLOW_LIMIT (1e100 is inf there): an inf state fails at its own step
+    # on the tape-free pass that ``harness.evaluate`` runs, also under relu, which clamps the next
+    # step's -inf to 0
+    @pytest.mark.parametrize("activation,w", [("linear", 0.0), ("relu", -1.0)])
+    def test_float32_inf_names_its_step(self, activation, w):
+        p = rnn_cell(1, W=[[w]], V=[[1.0]])
+        inputs = np.zeros((6, 1, 1))
+        inputs[3] = 1e39
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            rnn_forward(RnnParams(p.a.astype(np.float32)), activation, inputs, keep=False)
 
     # the LSTM check reads h alone: |c_t| <= t, and a NaN in c_t is a NaN in h_t
     @pytest.mark.parametrize("keep", [True, False], ids=["taped", "scratch"])

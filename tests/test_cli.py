@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import blas_threads_env, write_idx_images, write_idx_labels, write_mask_value
-from irnnlab import harness
+from irnnlab import (HeadParams, InitScheme, ModelSpec, RnnParams, gen_adding, harness, make_rng, save_adding,
+                     save_checkpoint)
 from irnnlab.cli import main
 from irnnlab.harness import METRICS_HEADER
 
@@ -258,6 +259,41 @@ class TestTrain:
         assert "--steps must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "replay").exists()
 
+    def test_missing_lr_exits_1_before_writing(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        code = run_cli("train", "--task", "adding", "--cell", "rnn", "--clip", "1", "--steps", "1",
+                       "--data", str(train_file), str(test_file), "--out-dir", str(out))
+        assert code == 1
+        assert "--lr is required (or use --manifest)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_of_changed_data_exits_2_naming_file(self, adding_files, tmp_path, capsys):
+        # the replay compares each data file's sha256 with the manifest's before it writes anything
+        train_file, test_file = adding_files
+        out = tmp_path / "run"
+        assert run_cli("train", "--task", "adding", "--cell", "rnn", "--hidden", "4", "--lr", "0.05",
+                       "--clip", "1", "--steps", "1", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out)) == 0
+        data = bytearray(train_file.read_bytes())
+        data[-1] ^= 1  # the last target's lowest mantissa byte: the file still loads
+        train_file.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", str(out / "manifest.json"), "--out-dir", str(tmp_path / "replay")) == 2
+        assert f"data file {train_file} changed since the manifest" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+
+    def test_replay_of_grid_search_manifest_exits_2(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "grid"
+        assert run_cli("grid-search", "--task", "adding", "--cell", "rnn", "--hidden", "4", "--lrs", "0.05",
+                       "--clips", "1", "--steps-per-cell", "1", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", str(out / "manifest.json"), "--out-dir", str(tmp_path / "replay")) == 2
+        assert f"{out / 'manifest.json'} is not a train manifest" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--task", "adding", "--cell", "rnn", "--frobnicate", "1")
@@ -467,6 +503,20 @@ class TestEval:
                        "--data", str(test_file)) == 0
         assert "rmse" in capsys.readouterr().out
 
+    def test_state_past_float32_range_exits_3_naming_step(self, tmp_path, capsys):
+        # relu with W = -1: example 1's 1e101 at step 0 is inf in float32 and 0 a step later, so
+        # only a float32 check of step 0 sees it; float64 then names that step, as forward does
+        spec = ModelSpec(cell="rnn", hidden=1, input_dim=2, head="regression", init=InitScheme("identity"))
+        params = RnnParams.from_blocks(W=[[-1.0]], V=[[1.0, 0.0]], b=[0.0])
+        save_checkpoint(tmp_path / "model.irnn", spec, params, HeadParams(U=np.ones((1, 1)), c=np.zeros(1)))
+        data = gen_adding(4, 3, make_rng(0))
+        data.signal[1, 0] = 1e101
+        save_adding(data, tmp_path / "test.addp")
+        assert run_cli("eval", "--checkpoint", str(tmp_path / "model.irnn"), "--data", str(tmp_path / "test.addp")) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "irnnlab: divergence: non-finite or overflowing activation at step 0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--permute-seed", "--downsample"])
     def test_mnist_flags_on_regression_checkpoint_exit_1(self, adding_files, tmp_path, capsys, flag):
         train_file, test_file = adding_files
@@ -580,7 +630,8 @@ class TestGridSearchCli:
 
     def test_empty_list_rejected(self, adding_files, tmp_path, capsys):
         train_file, test_file = adding_files
-        for flag, text in (("--lrs", ","), ("--lrs", "abc"), ("--clips", "abc"), ("--forget-biases", "abc")):
+        for flag, text in (("--lrs", ","), ("--lrs", "abc"), ("--lrs", "0.1,-1"), ("--clips", "abc"),
+                           ("--forget-biases", "abc")):
             code = run_cli("grid-search", "--task", "adding", "--cell", "lstm", "--lrs", "0.1",
                            flag, text, "--steps-per-cell", "5",
                            "--data", str(train_file), str(test_file),
@@ -631,6 +682,16 @@ class TestGridSearchCli:
                        "--out-dir", str(out))
         assert code == 1
         assert "--steps-per-cell must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_workers_exits_1_before_training(self, adding_files, tmp_path, capsys):
+        train_file, test_file = adding_files
+        out = tmp_path / "g"
+        code = run_cli("grid-search", "--task", "adding", "--cell", "rnn", "--lrs", "0.01", "--clips", "1",
+                       "--steps-per-cell", "1", "--workers", "0", "--data", str(train_file), str(test_file),
+                       "--out-dir", str(out))
+        assert code == 1
+        assert "--workers must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_forget_bias_not_a_grid_flag(self, adding_files, tmp_path):

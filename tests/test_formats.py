@@ -28,7 +28,7 @@ from irnnlab import (
     save_checkpoint,
 )
 from irnnlab.cli import main
-from irnnlab.tasks import DataFormatError
+from irnnlab.tasks import ADDING_MAGIC, DataFormatError
 
 IMAGES = np.random.default_rng(5).integers(0, 256, size=(6, 4, 4), dtype=np.uint8)
 
@@ -165,6 +165,29 @@ def test_checkpoint_field_that_does_not_apply_exits_2(trained_checkpoints, tmp_p
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(path), "--data", str(trained_checkpoints / "data.addp")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_steps,n", [(1, 1), (4, 0)], ids=["T1", "n0"])
+def test_adding_header_out_of_range_exits_2(trained_checkpoints, tmp_path, capsys, t_steps, n):
+    # the header is checked before the file's size, so no payload is needed
+    path = tmp_path / "bad.addp"
+    path.write_bytes(ADDING_MAGIC + struct.pack("<qq", t_steps, n))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained_checkpoints / "rnn" / "checkpoint.irnn"),
+                 "--data", str(path)]) == 2
+    assert f"{path}: invalid header T={t_steps}, n={n} at offset 8" in capsys.readouterr().err
+
+
+def test_non_square_images_exit_2(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx_images(images, np.zeros((3, 28, 14), dtype=np.uint8))
+    write_idx_labels(labels, np.zeros(3, dtype=np.uint8))
+    out = tmp_path / "run"
+    code = main(["train", "--task", "mnist", "--cell", "rnn", "--lr", "0.1", "--clip", "1", "--steps", "1",
+                 "--data", *map(str, (images, labels, images, labels)), "--out-dir", str(out)])
+    assert code == 2
+    assert f"{images}: images must be square, got 28x14" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _failing_adding_save(path):

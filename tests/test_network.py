@@ -211,6 +211,15 @@ class TestDivergenceLocalisation:
             with pytest.raises(DivergenceError, match="non-finite loss"):
                 run()
 
+    def test_operand_past_float32_range_scores_without_numpy_warnings(self):
+        # V's 1e39 is inf in the float32 copy, where inf * 0 makes the states NaN; float64 scores the chunk
+        spec, params, head = zero_model()
+        params.V[0, 0] = 1e39
+        batch = SequenceBatch(inputs=np.zeros((2, 3, 2)), targets=np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(spec, params, head, _FixedDataset(batch)) == (1.0, 1.0)
+
 
 class TestBackward:
     def test_zero_residual_gives_zero_gradients(self):

@@ -94,6 +94,15 @@ BAD_CHECKPOINTS = [
     ("forget-bias-nan", 80, struct.pack("<d", float("nan"))),
 ]
 
+# copies of irnn/checkpoint.irnn with one payload double rewritten, evaluated after every other
+# command so no log name shifts: (name, payload offset, 8 bytes written there)
+OVERFLOWING_CHECKPOINTS = [
+    # W[4,4] (unit 0 never fires here, unit 4 at every step): the float64 pass overflows, so eval exits 3
+    ("w44-1e60", 88 + 8 * (4 * 8 + 4), struct.pack("<d", 1e60)),
+    # V[0,0], after the 8x8 W: inf in the float32 copy, so float64 scores each chunk and eval exits 0
+    ("v00-1e39", 88 + 8 * 64, struct.pack("<d", 1e39)),
+]
+
 # copies of data/test.addp with one mask double rewritten, each the test set of a train run:
 # (name, example, step, value written there)
 BAD_MASKS = [
@@ -164,6 +173,16 @@ def run(out: Path, index: int, name: str, args: list[str]) -> None:
                    f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
 
 
+def eval_patched_checkpoints(out: Path, start: int, patches) -> None:
+    """Evaluate on data/test.addp a copy of irnn/checkpoint.irnn per (name, offset, bytes) patch,
+    written to bad-checkpoints/NAME.irnn and logged from index ``start`` on."""
+    good = (out / "irnn" / "checkpoint.irnn").read_bytes()
+    for index, (name, offset, value) in enumerate(patches, start=start):
+        path = f"bad-checkpoints/{name}.irnn"
+        (out / path).write_bytes(good[:offset] + value + good[offset + 8:])
+        run(out, index, f"eval-{name}", ["eval", "--checkpoint", path, "--data", "data/test.addp"])
+
+
 def drop_wallclock(out: Path) -> None:
     for csv in sorted(out.rglob("*.csv")):
         lines = csv.read_text().splitlines()
@@ -189,11 +208,7 @@ def main(argv=None) -> int:
     for index, (name, cmd) in enumerate(COMMANDS):
         run(out, index, name, cmd)
     (out / "bad-checkpoints").mkdir()
-    good = (out / "irnn" / "checkpoint.irnn").read_bytes()
-    for index, (name, offset, value) in enumerate(BAD_CHECKPOINTS, start=len(COMMANDS)):
-        path = f"bad-checkpoints/{name}.irnn"
-        (out / path).write_bytes(good[:offset] + value + good[offset + 8:])
-        run(out, index, f"eval-{name}", ["eval", "--checkpoint", path, "--data", "data/test.addp"])
+    eval_patched_checkpoints(out, len(COMMANDS), BAD_CHECKPOINTS)
     (out / "bad-data").mkdir()
     data = (out / "data" / "test.addp").read_bytes()
     t_steps = struct.unpack_from("<q", data, 8)[0]
@@ -205,8 +220,10 @@ def main(argv=None) -> int:
         run(out, index, f"train-{name}", [*TRAIN, "--cell", "rnn", *ADDING[:2], path, "--out-dir", "bad"])
     for index, (name, cmd) in enumerate(LATE_COMMANDS, start=len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS)):
         run(out, index, name, cmd)
-    drop_wallclock(out)
     total = len(COMMANDS) + len(BAD_CHECKPOINTS) + len(BAD_MASKS) + len(LATE_COMMANDS)
+    eval_patched_checkpoints(out, total, OVERFLOWING_CHECKPOINTS)
+    total += len(OVERFLOWING_CHECKPOINTS)
+    drop_wallclock(out)
     print(f"{total} commands run; outputs in {out}")
     return 0
 
