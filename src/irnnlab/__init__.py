@@ -36,43 +36,3 @@ from .tasks import (
     make_permutation,
     save_adding,
 )
-
-__all__ = [
-    "AddingDataset",
-    "DivergenceError",
-    "GradReport",
-    "Gradients",
-    "GridSpec",
-    "HeadParams",
-    "InitScheme",
-    "LstmParams",
-    "ModelSpec",
-    "PixelImageDataset",
-    "Rng",
-    "RnnParams",
-    "SequenceBatch",
-    "ShapeError",
-    "TrainConfig",
-    "TrainResult",
-    "backward",
-    "baseline_mse",
-    "check_model",
-    "clip_gradients",
-    "evaluate",
-    "forward",
-    "gen_adding",
-    "grid_search",
-    "init_params",
-    "load_adding",
-    "load_checkpoint",
-    "load_mnist",
-    "make_permutation",
-    "make_rng",
-    "numeric_gradient",
-    "param_blocks",
-    "parse_scheme",
-    "save_adding",
-    "save_checkpoint",
-    "sgd_step",
-    "train",
-]

@@ -23,7 +23,8 @@ GEMM A @ [h_{t-1}; x_t; 1], with A read in place, whose gates are contiguous
 (H, B) row blocks. The LSTM negates the i|f|o rows of a per-call copy of A,
 so its GEMM yields -z exactly for the three logistic gates.
 
-Tape layout (``CellTape``) for T = len(s) - 1 steps; the tape-free pass
+A tape is the tuple of arrays ``_start`` allocates, ``(s,)`` for the RNN and
+``(s, z, c, tc)`` for the LSTM, for T = len(s) - 1 steps; the tape-free pass
 (``keep=False``) runs the same loop on 2 reused slots of ``s`` and ``c`` and
 1 of ``z`` and ``tc``, and returns no tape:
 
@@ -32,14 +33,15 @@ Tape layout (``CellTape``) for T = len(s) - 1 steps; the tape-free pass
     z   (T, 4*H, B)      LSTM gate activations i|f|o|g
     c   (T+1, H, B)      LSTM cell states, c[0] = 0; tc (T, H, B) is tanh(c_t)
 
-An RNN tape is ``s`` alone: each step's GEMM is written straight into the
+An RNN tape holds ``s`` alone: each step's GEMM is written straight into the
 rows of h_t and activated there, and g'(z) is read off h = g(z): [h > 0]
 for relu (so g'(0) = 0), 1 - h**2 for tanh and 1 for linear.
 
 The forward arrays take the dtype of the operand A, and the inputs are cast
-as they are copied into ``s``. Models are float64; ``harness.evaluate`` runs
-the tape-free pass on a float32 copy of A, where any state past float32's
-range is inf and fails the overflow check before ``OVERFLOW_LIMIT`` can.
+as they are copied into ``s``, taped or not, under the step loop's error state.
+Models are float64; ``harness.evaluate`` runs the tape-free pass on a float32
+copy of A, where any input or state past float32's range is inf and fails the
+overflow check at its step, before ``OVERFLOW_LIMIT`` can.
 The check reads h alone, by its maximum where h >= -1 (relu, tanh, LSTM). The
 LSTM's c needs none: |c_t| <= t, and a NaN in c_t is a NaN in h_t = o*tanh(c_t).
 
@@ -149,16 +151,6 @@ class LstmParams(_Cell):
     gates: ClassVar[tuple[str, ...]] = ("i", "f", "o", "g")
 
 
-@dataclass
-class CellTape:
-    """Arrays of one forward pass of ``len(s) - 1`` steps, laid out as in the module docstring."""
-
-    s: np.ndarray
-    z: np.ndarray | None = None  # LSTM only, like c and tc
-    c: np.ndarray | None = None
-    tc: np.ndarray | None = None
-
-
 def sigmoid_of_negated(neg_z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid(z) = 1 / (1 + exp(neg_z)) from neg_z = -z; ``out`` may be ``neg_z`` itself.
 
@@ -188,9 +180,9 @@ def _check_finite(states: np.ndarray, first_step: int = 0, floored: bool = False
             raise DivergenceError(f"non-finite or overflowing activation at step {first_step + t}")
 
 
-def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, int]:
+def _start(p, inputs: np.ndarray, keep: bool) -> tuple[tuple[np.ndarray, ...], int, int]:
     """Validate inputs and allocate ``s`` (and the LSTM's ``z``, ``c``, ``tc``), one ``np.empty`` each
-    in the operand's dtype; returns (arrays, s slots, z slots).
+    in the operand's dtype; returns (arrays, s slots, z slots), the arrays the tape when ``keep``.
 
     A tape gets the input rows of all steps in one copy; scratch slots get them step by step.
     Either copy casts the inputs to the slots' dtype.
@@ -203,7 +195,7 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
     shapes = [(ns, h + p.input_dim + 1, b)]
     if isinstance(p, LstmParams):
         shapes += [(nz, 4 * h, b), (ns, h, b), (nz, h, b)]
-    arrays = [np.empty(shape, p.a.dtype) for shape in shapes]
+    arrays = tuple(np.empty(shape, p.a.dtype) for shape in shapes)
     arrays[0][0, :h] = 0.0
     arrays[0][:, h + p.input_dim] = 1.0
     if keep:
@@ -213,13 +205,14 @@ def _start(p, inputs: np.ndarray, keep: bool) -> tuple[list[np.ndarray], int, in
 
 def rnn_forward(
     p: RnnParams, activation: str, inputs: np.ndarray, keep: bool = True
-) -> tuple[np.ndarray, CellTape | None]:
+) -> tuple[np.ndarray, tuple | None]:
     """Run the RNN with the named activation (one of ``ACTIVATIONS``) over (T, B, D) inputs;
     returns (h_T as (B, H), tape), the tape None without ``keep``."""
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
-    (s,), ns, _ = _start(p, inputs, keep)
     a, (activate, _, floored) = p.a, _ACTIVATION[activation]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a float32 cast or state past range is inf; checked below
+        tape, ns, _ = _start(p, inputs, keep)
+        (s,) = tape
         for t in range(t_steps):
             if not keep:
                 s[t % ns, h : h + d] = inputs[t].T
@@ -228,16 +221,17 @@ def rnn_forward(
                 _check_finite(ht[None], t, floored)
     if keep:
         _check_finite(s[1:, :h], 0, floored)
-    return s[t_steps % ns, :h].T, CellTape(s) if keep else None
+    return s[t_steps % ns, :h].T, tape if keep else None
 
 
-def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, CellTape | None]:
+def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[np.ndarray, tuple | None]:
     """Run the LSTM over (T, B, D) inputs; returns (h_T as (B, H), tape), the tape None without ``keep``."""
     h, d, t_steps = p.hidden, p.input_dim, inputs.shape[0]
-    (s, gates, c, tc), ns, nz = _start(p, inputs, keep)
-    c[0] = 0.0
-    a = np.concatenate((-p.a[: 3 * h], p.a[3 * h :]))  # a copy (threads share p.a) whose GEMM yields -z for i|f|o
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a float32 cast or state past range is inf; checked below
+        tape, ns, nz = _start(p, inputs, keep)
+        s, gates, c, tc = tape
+        c[0] = 0.0
+        a = np.concatenate((-p.a[: 3 * h], p.a[3 * h :]))  # a copy (threads share p.a) whose GEMM yields -z for i|f|o
         for t in range(t_steps):
             if not keep:
                 s[t % ns, h : h + d] = inputs[t].T
@@ -254,23 +248,23 @@ def lstm_forward(p: LstmParams, inputs: np.ndarray, keep: bool = True) -> tuple[
                 _check_finite(ht[None], t, floored=True)
     if keep:
         _check_finite(s[1:, :h], floored=True)
-    return s[t_steps % ns, :h].T, CellTape(s, gates, c, tc) if keep else None
+    return s[t_steps % ns, :h].T, tape if keep else None
 
 
-def _reverse_start(p, tape: CellTape, out, delta: np.ndarray):
-    """Validate the (B, H) delta at the final state; returns the gradient operand ``out.a``
-    to add into and a same-shaped step buffer."""
-    h, b = p.hidden, tape.s.shape[2]
+def _reverse_start(p, s: np.ndarray, out, delta: np.ndarray):
+    """Validate the (B, H) delta at the final state of the taped operands ``s``; returns the
+    gradient operand ``out.a`` to add into and a same-shaped step buffer."""
+    h, b = p.hidden, s.shape[2]
     if delta.shape != (b, h):
         raise ShapeError(f"delta shape {delta.shape} does not match the taped (B, H) = {(b, h)}")
     return out.a, np.empty_like(p.a)
 
 
-def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, out: RnnParams) -> np.ndarray:
+def rnn_backward(p: RnnParams, activation: str, tape: tuple, dh: np.ndarray, out: RnnParams) -> np.ndarray:
     """Reverse the pass that ``rnn_forward`` taped under ``activation`` from the (B, H) delta at h_T,
     adding the gradients into the cell ``out``; returns dh_0 as (B, H)."""
-    h, s, derivative = p.hidden, tape.s, _ACTIVATION[activation][1]
-    grad, step = _reverse_start(p, tape, out, dh)
+    (s,), h, derivative = tape, p.hidden, _ACTIVATION[activation][1]
+    grad, step = _reverse_start(p, s, out, dh)
     dh, w = np.array(dh, order="C"), p.a[:, :h]  # a copy, since dh is overwritten step by step
     dz_block = np.empty((BLOCK, *dh.shape))  # g' of a block's states, then its deltas dz_t
     for end in range(len(s) - 1, 0, -BLOCK):
@@ -285,28 +279,28 @@ def rnn_backward(p: RnnParams, activation: str, tape: CellTape, dh: np.ndarray, 
     return dh
 
 
-def lstm_backward(p: LstmParams, tape: CellTape, dh: np.ndarray, out: LstmParams) -> np.ndarray:
+def lstm_backward(p: LstmParams, tape: tuple, dh: np.ndarray, out: LstmParams) -> np.ndarray:
     """Reverse the taped pass from the (B, H) delta at h_T, adding the gradients into the cell ``out``;
     returns dh_0 as (B, H).
 
     The loss reads h_T alone, so the cell delta starts at zero. Gate derivatives
     use sigma' = s(1-s) and tanh' = 1 - t**2 on the taped activations.
     """
-    h = p.hidden
-    grad, step = _reverse_start(p, tape, out, dh)
+    (s, z, c, tc), h = tape, p.hidden
+    grad, step = _reverse_start(p, s, out, dh)
     wt, dh, dc = np.ascontiguousarray(p.a[:, :h].T), np.ascontiguousarray(dh.T), 0.0
     dz = np.empty((4 * h, dh.shape[1]))
     dzi, dzf, dzo, dzg = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
-    for t in reversed(range(len(tape.s) - 1)):
-        gt, tct = tape.z[t], tape.tc[t]
+    for t in reversed(range(len(s) - 1)):
+        gt, tct = z[t], tc[t]
         i, f, o, g = gt[:h], gt[h : 2 * h], gt[2 * h : 3 * h], gt[3 * h :]
         dc_total = dc + dh * o * (1.0 - tct * tct)
         np.multiply(1.0 - gt[: 3 * h], gt[: 3 * h], out=dz[: 3 * h])  # sigma' of i, f, o
         dzi *= dc_total * g
-        dzf *= dc_total * tape.c[t]
+        dzf *= dc_total * c[t]
         dzo *= dh * tct
         np.multiply(dc_total * i, 1.0 - g * g, out=dzg)
         dc = dc_total * f
         dh = wt @ dz
-        grad += np.matmul(dz, tape.s[t].T, out=step)
+        grad += np.matmul(dz, s[t].T, out=step)
     return dh.T

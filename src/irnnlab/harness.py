@@ -283,8 +283,7 @@ def train(
     theta = param_vector(params, head)
     result = TrainResult(params=params, head=head, history=[])
     n = len(train_ds)
-    order = rng.permutation(n)
-    cursor = 0
+    cursor = n  # at n, so the first update draws the first epoch's order
     start_time = timer()
     for step in range(1, cfg.max_steps + 1):
         if cursor >= n:

@@ -4,12 +4,13 @@ The model runs the cell's whole-sequence kernel over T steps from a zero
 initial state, applies the readout to the final hidden state only, and
 scores it with mean squared error (regression) or cross-entropy (softmax
 classification), averaged over the batch. ``forward`` keeps the kernel's
-tape (``cells.CellTape``: per step the feature-major (H+D+1, B) operand
-[h; x; 1], and for the LSTM also the (4H, B) gate activations stacked
-i|f|o|g and the cell states) in a ``Tape`` together with the spec, h_T and
-the loss gradient at the head outputs; ``score``, which ``harness.evaluate``
-runs on every chunk, runs the same kernel with reused scratch slots and
-keeps no tape. The kernel runs in the dtype of the cell operand it is given:
+tape (the tuple of arrays laid out in ``cells``: per step the feature-major
+(H+D+1, B) operand [h; x; 1], and for the LSTM also the (4H, B) gate
+activations stacked i|f|o|g and the cell states) in a ``Tape`` together with
+the spec and the loss gradient at the head outputs, and h_T is read off its
+last operand slot. ``score``, which ``harness.evaluate`` runs on every chunk,
+runs the same kernel with reused scratch slots and keeps no tape. The kernel
+runs in the dtype of the cell operand it is given:
 float64 for every model this module builds, float32 for the copy that
 ``evaluate`` passes to ``score``. The head and the loss are float64 either
 way, since h_T @ U.T promotes. ``backward(params, head, tape)`` carries
@@ -17,7 +18,7 @@ that gradient through the head to h_T and runs the cell's backward kernel
 over the tape under the tape's spec, which writes exact gradients for every
 parameter block.
 
-In memory a model is one float64 vector, laid out by ``_model``: the cell's
+In memory a model is one float64 vector, laid out by ``_layout``: the cell's
 (G*H, H+D+1) operand [W | V | b] (``cells``), then U (K, H), then c (K,).
 Every named block is a view of it; ``backward`` returns the gradient as one
 vector of the same layout. A checkpoint stores each block whole instead.
@@ -42,7 +43,7 @@ Checkpoint format (little-endian throughout):
 
 ``load_checkpoint`` validates the header and the spec (so a field that does not
 apply, such as an lstm's activation, must hold its one allowed value), then reads the payload,
-sized from the spec, through ``ndcore.read_payload``, which checks the file size before it
+sized by ``_layout``, through ``ndcore.read_payload``, which checks the file size before it
 allocates. It splits the payload by the sizes of the ``param_blocks`` views of a new vector,
 in file order: the file holds each block whole, the vector interleaves W, V and b by row.
 """
@@ -58,7 +59,6 @@ import numpy as np
 
 from .cells import (
     ACTIVATIONS,
-    CellTape,
     LstmParams,
     RnnParams,
     lstm_backward,
@@ -156,9 +156,9 @@ class Tape:
     """What ``backward`` needs from one forward pass besides its parameters, which a tape never holds."""
 
     spec: ModelSpec
-    cell: CellTape
-    h_last: np.ndarray
+    cell: tuple  # the cell kernel's tape
     dlogits: np.ndarray  # (B, K) gradient of the mean loss at the head outputs
+    h_last = property(lambda self: self.cell[0][-1, : self.spec.hidden].T)  # h_T as (B, H)
 
 
 @dataclass
@@ -177,13 +177,19 @@ class ForwardResult(NamedTuple):
     tape: Tape
 
 
-def _model(spec: ModelSpec) -> tuple[np.ndarray, CellParams, HeadParams]:
-    """A new zero vector laid out as in the module docstring, and the cell and head as views of it."""
-    h, k = spec.hidden, spec.head_dim
+def _layout(spec: ModelSpec) -> tuple[type, tuple[int, int], int]:
+    """The cell class, its operand shape and the length of the model vector (module docstring)."""
     cell = RnnParams if spec.cell == "rnn" else LstmParams
-    shape = cell.operand_shape(h, spec.input_dim)
+    shape = cell.operand_shape(spec.hidden, spec.input_dim)
+    return cell, shape, math.prod(shape) + spec.head_dim * spec.hidden + spec.head_dim
+
+
+def _model(spec: ModelSpec) -> tuple[np.ndarray, CellParams, HeadParams]:
+    """A new zero vector laid out by ``_layout``, and the cell and head as views of it."""
+    h, k = spec.hidden, spec.head_dim
+    cell, shape, size = _layout(spec)
     n = math.prod(shape)
-    theta = np.zeros(n + k * h + k)
+    theta = np.zeros(size)
     head = HeadParams(U=theta[n : n + k * h].reshape(k, h), c=theta[n + k * h :])
     return theta, cell(theta[:n].reshape(shape)), head
 
@@ -270,7 +276,7 @@ def _run(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceB
             dlogits /= b
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
-    return loss, predictions, hits, Tape(spec=spec, cell=cell, h_last=h_last, dlogits=dlogits)
+    return loss, predictions, hits, Tape(spec=spec, cell=cell, dlogits=dlogits)
 
 
 def forward(spec: ModelSpec, params: CellParams, head: HeadParams, batch: SequenceBatch) -> ForwardResult:
@@ -352,9 +358,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, CellParams, HeadParams]:
             fields[field] = value if names is None else names[value]
         kind, value = fields.pop("init kind"), fields.pop("init value")
         spec = ModelSpec(**fields, init=InitScheme(kind, value))
-        h, k, cell = spec.hidden, spec.head_dim, RnnParams if spec.cell == "rnn" else LstmParams
-        size = math.prod(cell.operand_shape(h, spec.input_dim)) + k * h + k  # the vector's (``_model``)
-        payload = read_payload(fh, path, _SPEC_STRUCT.size, (size,), "<f8")
+        payload = read_payload(fh, path, _SPEC_STRUCT.size, (_layout(spec)[2],), "<f8")
     _, params, head = _model(spec)
     views = param_blocks(params, head).values()
     for view, part in zip(views, np.split(payload, np.cumsum([view.size for view in views])[:-1])):

@@ -262,22 +262,23 @@ def float32_score_bound(spec, params, head, batch):
     n = a.shape[1]
     grow = 2 * u + n * u / (1 - n * u)
     _, _, tape = forward(spec, params, head, batch)
-    cell = tape.cell
+    cell = tape.cell  # (s,) or (s, z, c, tc)
+    s = cell[0]
     e = np.zeros((h, batch.size))
     de_c = np.zeros_like(e)
-    for t in range(len(cell.s) - 1):
-        s_t = cell.s[t]
+    for t in range(len(s) - 1):
+        s_t = s[t]
         dz = a[:, :h] @ e + grow * (a @ np.abs(s_t))
-        h_t = cell.s[t + 1, :h]
+        h_t = s[t + 1, :h]
         if spec.cell == "rnn":
             e = (1 - h_t**2) * dz + FN_ERR * np.abs(h_t) if spec.activation == "tanh" else dz
             continue
-        z = cell.z[t]
+        z = cell[1][t]
         i, f, o, g = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
         di, df, do = (gate * (1 - gate) * dz[k * h : (k + 1) * h] + (FN_ERR + 2 * u) * gate
                       for k, gate in enumerate((i, f, o)))
         dg = (1 - g**2) * dz[3 * h :] + FN_ERR * np.abs(g)
-        c_prev, tc = cell.c[t], cell.tc[t]
+        c_prev, tc = cell[2][t], cell[3][t]
         de_c = (f * de_c + np.abs(c_prev) * df + i * dg + np.abs(g) * di
                 + 2 * u * (f * np.abs(c_prev) + i * np.abs(g)))
         e = o * ((1 - tc**2) * de_c + FN_ERR * np.abs(tc)) + np.abs(tc) * do + u * np.abs(h_t)
@@ -685,9 +686,12 @@ class TestTrain:
         assert all(seen is kept for seen, kept in zip(rows, result.history))
 
     def test_epoch_reshuffle_covers_dataset(self):
-        # one epoch = len(ds)/batch steps without replacement
+        # each epoch is one permutation drawn after init_params' draws, dealt out without replacement;
+        # at batch 24 an epoch of 64 is 24 + 24 + 16, and 7 updates take 2 epochs and a batch
         rng = make_rng(6)
         ds = gen_adding(3, 64, rng)
+        spec = ModelSpec(cell="rnn", hidden=4, input_dim=2, head="regression",
+                         activation="relu", init=InitScheme("identity"))
         seen = []
 
         class Spy:
@@ -698,11 +702,15 @@ class TestTrain:
                 seen.extend(np.asarray(idx).tolist())
                 return ds.batch(idx)
 
-        spec = ModelSpec(cell="rnn", hidden=4, input_dim=2, head="regression",
-                         activation="relu", init=InitScheme("identity"))
-        cfg = TrainConfig(lr=0.01, clip=1.0, max_steps=4, eval_every=100, batch_size=16, seed=9)
-        train(spec, cfg, Spy(), ds)
-        assert sorted(seen) == list(range(64))  # exactly one full epoch, no repeats
+        for batch_size, steps, dealt in ((16, 4, 64), (24, 7, 152)):
+            seen.clear()
+            cfg = TrainConfig(lr=0.01, clip=1.0, max_steps=steps, eval_every=100, batch_size=batch_size, seed=9)
+            train(spec, cfg, Spy(), ds)
+            draws = make_rng(9)
+            init_params(spec, draws)
+            expected = np.concatenate([draws.permutation(64) for _ in range(3)])[:dealt]
+            assert seen == expected.tolist()
+            assert sorted(seen[:64]) == list(range(64))  # an epoch covers the set, no repeats
 
 
     @pytest.mark.parametrize("cell", ["rnn", "lstm"])
@@ -737,7 +745,7 @@ class TestTrain:
         cfg = TrainConfig(lr=0.01, clip=10.0, max_steps=4, eval_every=4, batch_size=16, seed=1)
         if cell == "lstm":
             taped = forward(spec, *init_params(spec, make_rng(1)), train_ds.batch(np.arange(16))).tape.cell
-            tape_bytes = sum(a.nbytes for a in (taped.s, taped.z, taped.c, taped.tc))
+            tape_bytes = sum(a.nbytes for a in taped)
             del taped
         else:
             tape_bytes = (100 + 1) * (50 + 2 + 1) * 16 * 8
